@@ -30,7 +30,12 @@ from repro.core.quantile import (
 from repro.core.multidim import MultiDimFirstFit, MultiDimVMSpec, MultiDimPMSpec
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState, fits_with_reservation
+from repro.core.reservation import (
+    PMReservationState,
+    ReservationLedger,
+    eq17_need,
+    fits_with_reservation,
+)
 from repro.core.rounding import round_switch_probabilities
 from repro.core.types import PMSpec, Placement, VMSpec
 
@@ -52,6 +57,8 @@ __all__ = [
     "OnlineConsolidator",
     "QueuingFFD",
     "PMReservationState",
+    "ReservationLedger",
+    "eq17_need",
     "fits_with_reservation",
     "round_switch_probabilities",
     "PMSpec",

@@ -16,19 +16,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import (
+    CVR_THRESHOLD,
+    EPS,
+    VM_CAP,
+    PMReservationState,
+    ReservationLedger,
+)
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_DRAINING,
-    REASON_FEASIBLE,
     REASON_FLEET_FULL,
-    REASON_VM_CAP,
     AdmissionRejectedError,
     InsufficientCapacityError,
     PlacementExplainer,
@@ -49,6 +53,9 @@ class OnlineConsolidator:
         probabilities of the *first* VMs it sees and, per the paper's note,
         can be refreshed with :meth:`recalibrate` when the population's
         rounded ``(p_on, p_off)`` has drifted.
+
+    Per-PM state lives in a :class:`ReservationLedger` built on the first
+    arrival.
     """
 
     def __init__(self, pms: Sequence[PMSpec], placer: QueuingFFD | None = None,
@@ -58,8 +65,7 @@ class OnlineConsolidator:
         self.placer = placer if placer is not None else QueuingFFD()
         self.telemetry = telemetry
         self._pms = list(pms)
-        self._mapping: BlockMapping | None = None
-        self._states: list[PMReservationState] = []
+        self._ledger: ReservationLedger | None = None
         self._locations: dict[int, int] = {}  # vm_id -> pm index
         self._next_id = 0
         #: recalibrate() calls that found the mapping unchanged (or had no
@@ -69,6 +75,11 @@ class OnlineConsolidator:
     # ------------------------------------------------------------------ #
     # state accessors
     # ------------------------------------------------------------------ #
+    @property
+    def _mapping(self) -> BlockMapping | None:
+        """The block table in force (None before the first arrival)."""
+        return None if self._ledger is None else self._ledger.mapping
+
     @property
     def n_pms(self) -> int:
         """Fleet size."""
@@ -82,7 +93,7 @@ class OnlineConsolidator:
     @property
     def n_used_pms(self) -> int:
         """PMs currently hosting at least one VM."""
-        return sum(1 for s in self._states if not s.is_empty)
+        return 0 if self._ledger is None else int(np.count_nonzero(self._ledger.count))
 
     def pm_of(self, vm_id: int) -> int:
         """PM index hosting ``vm_id``."""
@@ -92,73 +103,42 @@ class OnlineConsolidator:
             raise KeyError(f"unknown VM id {vm_id}") from None
 
     def state_of(self, pm_index: int) -> PMReservationState:
-        """Reservation state of PM ``pm_index``."""
-        self._ensure_states()
-        return self._states[pm_index]
+        """A snapshot of PM ``pm_index``'s reservation state."""
+        if self._ledger is None:
+            raise RuntimeError(
+                "no VMs admitted yet; the mapping table is created on the "
+                "first arrival"
+            )
+        state = self._ledger.states[pm_index]
+        return replace(state, vms=dict(state.vms))
 
     def hosted_vms(self) -> dict[int, VMSpec]:
         """Snapshot mapping vm_id -> spec of all hosted VMs."""
         out: dict[int, VMSpec] = {}
-        for s in self._states:
-            out.update(s.vms)
+        for state in (self._ledger.states if self._ledger is not None else ()):
+            out.update(state.vms)
         return out
 
-    def _ensure_states(self) -> None:
-        if not self._states:
-            if self._mapping is None:
-                raise RuntimeError(
-                    "no VMs admitted yet; the mapping table is created on the "
-                    "first arrival"
-                )
+    def _eligible_mask(self, eligible: Iterable[int] | None) -> np.ndarray | None:
+        if eligible is None:
+            return None
+        mask = np.zeros(len(self._pms), dtype=bool)
+        mask[[int(i) for i in eligible]] = True
+        return mask
 
     # ------------------------------------------------------------------ #
     # online operations
     # ------------------------------------------------------------------ #
     def _init_mapping(self, vms: Sequence[VMSpec]) -> None:
-        self._mapping = self.placer.mapping_for(vms)
-        self._states = [
-            PMReservationState(spec=p, mapping=self._mapping) for p in self._pms
-        ]
+        self._ledger = ReservationLedger(self._pms, self.placer.mapping_for(vms))
 
-    def _admission_row(self, vm: VMSpec) -> tuple[list[str], list[float]]:
-        """Per-PM Eq. (17) verdicts and post-admission headroom scores."""
-        mapping = self._mapping
-        verdicts: list[str] = []
-        scores: list[float] = []
-        for state in self._states:
-            new_count = state.count + 1
-            blocks = int(mapping.table[min(new_count, mapping.d)])
-            need = (max(state.max_extra, vm.r_extra) * blocks
-                    + state.base_sum + vm.r_base)
-            scores.append(state.spec.capacity - need)
-            if new_count > mapping.d:
-                verdicts.append(REASON_VM_CAP)
-            elif need > state.spec.capacity + 1e-9:
-                verdicts.append(REASON_CVR_THRESHOLD)
-            else:
-                verdicts.append(REASON_FEASIBLE)
-        return verdicts, scores
-
-    def _record_decision(self, vm: VMSpec, vm_id: int, chosen: int, *,
-                         context: str, time: int,
-                         eligible: set[int] | None = None) -> None:
-        """Emit one ``PlacementDecided`` for an online admission attempt."""
-        tel = resolve(self.telemetry)
-        if tel is None or not tel.events.enabled:
-            return
+    def _explainer(self, tel: Telemetry, context: str) -> PlacementExplainer:
         explainer = PlacementExplainer(tel, self.placer.name, context=context)
         explainer.set_inputs(
             p_on=self._mapping.p_on, p_off=self._mapping.p_off,
             table_fingerprint=table_fingerprint(self._mapping),
             score_kind="reservation_headroom")
-        verdicts, scores = self._admission_row(vm)
-        if eligible is not None:
-            for i in range(len(verdicts)):
-                if i not in eligible:
-                    verdicts[i] = REASON_DRAINING
-        if chosen >= 0:
-            verdicts[chosen] = REASON_CHOSEN
-        explainer.record(vm_id, chosen, verdicts, scores, time=time)
+        return explainer
 
     def fleet_headroom(self, vm: VMSpec | None = None, *,
                        eligible: Iterable[int] | None = None) -> dict:
@@ -170,45 +150,76 @@ class OnlineConsolidator:
         the Eq. (17) reservation test), so a rejection message says what it
         would take to admit the VM, not just that it failed.
         """
-        allowed = (range(len(self._states)) if eligible is None
-                   else sorted(set(int(i) for i in eligible)))
+        mask = self._eligible_mask(eligible)
         out: dict[str, object] = {
             "pms": len(self._pms),
             "hosted_vms": len(self._locations),
+            "eligible_pms": len(self._pms) if mask is None else int(mask.sum()),
         }
-        if self._mapping is None:
-            out["eligible_pms"] = (len(self._pms) if eligible is None
-                                   else len(list(allowed)))
+        ledger = self._ledger
+        if ledger is None:
             return out
-        mapping = self._mapping
-        free_slots = 0
-        max_headroom = float("-inf")
-        vm_cap_blocked = cvr_blocked = 0
-        n_eligible = 0
-        for i in allowed:
-            state = self._states[i]
-            n_eligible += 1
-            free_slots += max(0, mapping.d - state.count)
-            max_headroom = max(max_headroom,
-                               state.spec.capacity - state.committed)
-            if vm is not None:
-                new_count = state.count + 1
-                if new_count > mapping.d:
-                    vm_cap_blocked += 1
-                else:
-                    blocks = int(mapping.table[new_count])
-                    need = (max(state.max_extra, vm.r_extra) * blocks
-                            + state.base_sum + vm.r_base)
-                    if need > state.spec.capacity + 1e-9:
-                        cvr_blocked += 1
-        out["eligible_pms"] = n_eligible
-        out["free_slots"] = int(free_slots)
-        out["max_headroom"] = (round(float(max_headroom), 6)
-                               if n_eligible else 0.0)
+        rows = slice(None) if mask is None else mask
+        count = ledger.count[rows]
+        headroom = (ledger.capacity - ledger.committed())[rows]
+        out["free_slots"] = int(np.maximum(0, ledger.mapping.d - count).sum())
+        out["max_headroom"] = (round(float(headroom.max()), 6)
+                               if count.size else 0.0)
         if vm is not None:
-            out["vm_cap_blocked"] = vm_cap_blocked
-            out["cvr_blocked"] = cvr_blocked
+            codes = ledger.verdicts(vm, -1)[0][rows]
+            out["vm_cap_blocked"] = int(np.count_nonzero(codes == VM_CAP))
+            out["cvr_blocked"] = int(np.count_nonzero(codes == CVR_THRESHOLD))
         return out
+
+    def decide(self, vm: VMSpec, *, eligible: Iterable[int] | None = None,
+               choose: Callable[[Sequence[int]], int] | None = None) -> int:
+        """The PM the single-arrival rule picks for ``vm``, or -1 if none.
+
+        Pure: reads the ledger (built by the first arrival) and mutates
+        nothing, so a caller can journal the outcome before :meth:`commit`
+        applies it.  ``eligible`` and ``choose`` are as in :meth:`admit`.
+        """
+        mask = self._eligible_mask(eligible)
+        if choose is None:
+            return self._ledger.first_fit(vm, mask)
+        feasible = self._ledger.feasible(vm, mask)
+        if not feasible:
+            return -1
+        chosen = int(choose(feasible))
+        if chosen not in feasible:
+            raise ValueError(
+                f"choose() returned PM {chosen}, not one of the "
+                f"feasible candidates {feasible}")
+        return chosen
+
+    def commit(self, vm: VMSpec, pm_index: int, *, time: int = PRE_RUN,
+               eligible: Iterable[int] | None = None) -> tuple[int, int]:
+        """Apply a :meth:`decide` outcome; returns ``(vm_id, pm_index)``.
+
+        Records the ``PlacementDecided`` provenance against the state the
+        decision saw, then hosts the VM under the next id.  ``pm_index``
+        -1 records the rejection and raises
+        :class:`AdmissionRejectedError` (``reason="fleet_full"``, with a
+        :meth:`fleet_headroom` summary attached).
+        """
+        vm_id = self._next_id if pm_index >= 0 else -1
+        tel = resolve(self.telemetry)
+        if tel is not None and tel.events.enabled:
+            codes, scores = self._ledger.verdicts(
+                vm, pm_index, eligible=self._eligible_mask(eligible))
+            self._explainer(tel, "online").record(vm_id, pm_index, codes,
+                                                  scores, time=time)
+        if pm_index < 0:
+            raise AdmissionRejectedError(
+                -1, REASON_FLEET_FULL,
+                headroom=self.fleet_headroom(vm, eligible=eligible))
+        self._host(vm, pm_index, vm_id)
+        return vm_id, pm_index
+
+    def _host(self, vm: VMSpec, pm_index: int, vm_id: int) -> None:
+        self._ledger.add(pm_index, vm_id, vm)
+        self._locations[vm_id] = pm_index
+        self._next_id = vm_id + 1
 
     def admit(self, vm: VMSpec, *, time: int = PRE_RUN,
               eligible: Iterable[int] | None = None,
@@ -217,9 +228,10 @@ class OnlineConsolidator:
         """Admit one VM; returns ``(vm_id, pm_index)``.
 
         First-fit over PMs with the Eq. (17) test, exactly the paper's
-        single-arrival rule.  When an event-enabled telemetry context is
-        resolved, the attempt (successful or not) is recorded as a
-        ``PlacementDecided`` with ``context="online"``, stamped ``time``.
+        single-arrival rule: :meth:`decide` then :meth:`commit`.  When an
+        event-enabled telemetry context is resolved, the attempt
+        (successful or not) is recorded as a ``PlacementDecided`` with
+        ``context="online"``, stamped ``time``.
 
         Parameters
         ----------
@@ -230,8 +242,7 @@ class OnlineConsolidator:
         choose:
             Optional selection rule: called with the sorted list of *all*
             feasible eligible PM indices and must return one of them.  The
-            default (``None``) keeps the paper's first-fit and short-circuits
-            on the first feasible PM.
+            default (``None``) keeps the paper's first-fit.
 
         Raises
         ------
@@ -239,36 +250,10 @@ class OnlineConsolidator:
             If no eligible PM can take the VM (``reason="fleet_full"``,
             with a :meth:`fleet_headroom` summary attached).
         """
-        if self._mapping is None:
+        if self._ledger is None:
             self._init_mapping([vm])
-        allowed = (range(len(self._states)) if eligible is None
-                   else sorted(set(int(i) for i in eligible)))
-        eligible_set = None if eligible is None else set(allowed)
-        chosen = -1
-        if choose is None:
-            for pm_idx in allowed:
-                if self._states[pm_idx].fits(vm):
-                    chosen = pm_idx
-                    break
-        else:
-            feasible = [i for i in allowed if self._states[i].fits(vm)]
-            if feasible:
-                chosen = int(choose(feasible))
-                if chosen not in feasible:
-                    raise ValueError(
-                        f"choose() returned PM {chosen}, not one of the "
-                        f"feasible candidates {feasible}")
-        vm_id = self._next_id if chosen >= 0 else -1
-        self._record_decision(vm, vm_id, chosen, context="online", time=time,
-                              eligible=eligible_set)
-        if chosen < 0:
-            raise AdmissionRejectedError(
-                -1, REASON_FLEET_FULL,
-                headroom=self.fleet_headroom(vm, eligible=eligible))
-        self._next_id += 1
-        self._states[chosen].add(vm_id, vm)
-        self._locations[vm_id] = chosen
-        return vm_id, chosen
+        chosen = self.decide(vm, eligible=eligible, choose=choose)
+        return self.commit(vm, chosen, time=time, eligible=eligible)
 
     def apply_admit(self, vm: VMSpec, pm_index: int, vm_id: int) -> None:
         """Apply a *recorded* admission outcome (WAL replay path).
@@ -280,18 +265,16 @@ class OnlineConsolidator:
         sequencing (``vm_id`` must equal the next id, so a divergent or
         reordered log fails loudly instead of silently corrupting state).
         """
-        if self._mapping is None:
+        if self._ledger is None:
             self._init_mapping([vm])
         if int(vm_id) != self._next_id:
             raise ValueError(
                 f"replayed vm_id {vm_id} != expected next id {self._next_id}; "
                 "WAL is divergent from the restored checkpoint")
         pm_index = int(pm_index)
-        if not 0 <= pm_index < len(self._states):
+        if not 0 <= pm_index < len(self._pms):
             raise ValueError(f"replayed pm_index {pm_index} out of range")
-        self._states[pm_index].add(int(vm_id), vm)
-        self._locations[int(vm_id)] = pm_index
-        self._next_id = int(vm_id) + 1
+        self._host(vm, pm_index, int(vm_id))
 
     def admit_batch(self, vms: Sequence[VMSpec],
                     *, time: int = PRE_RUN) -> list[tuple[int, int]]:
@@ -305,52 +288,36 @@ class OnlineConsolidator:
         """
         if not vms:
             return []
-        if self._mapping is None:
+        if self._ledger is None:
             self._init_mapping(vms)
+        ledger = self._ledger
         tel = resolve(self.telemetry)
-        traced = tel is not None and tel.events.enabled
-        order = self.placer.order_vms(vms)
-        placed: list[tuple[int, int, VMSpec]] = []  # (input position, pm, spec)
-        rows: list[tuple[list[str], list[float]]] = []  # parallel to placed
-        for pos in order:
+        explainer = (self._explainer(tel, "online_batch")
+                     if tel is not None and tel.events.enabled else None)
+        placed: list[tuple[int, int, int]] = []  # (input position, pm, vm id)
+        rows = []  # parallel to placed: (codes, scores) under tracing
+        for pos in self.placer.order_vms(vms):
             pos = int(pos)
             vm = vms[pos]
-            row = self._admission_row(vm) if traced else None
-            for pm_idx, state in enumerate(self._states):
-                if state.fits(vm):
-                    # reserve without ids yet; use a temp negative id
-                    state.add(-(pos + 1), vm)
-                    placed.append((pos, pm_idx, vm))
-                    if traced:
-                        row[0][pm_idx] = REASON_CHOSEN
-                        rows.append(row)
-                    break
-            else:
-                if traced:
-                    self._record_decision(vm, -1, -1, context="online_batch",
-                                          time=time)
-                for p, pm_idx, v in placed:  # rollback
-                    self._states[pm_idx].remove(-(p + 1))
+            pm_idx = ledger.first_fit(vm)
+            if explainer is not None:
+                rows.append(ledger.verdicts(vm, pm_idx))
+            if pm_idx < 0:
+                if explainer is not None:
+                    explainer.record(-1, -1, *rows[-1], time=time)
+                for _, pm, vm_id in placed:  # rollback
+                    ledger.remove(pm, vm_id)
                 raise InsufficientCapacityError(pos, f"batch VM {pos} does not fit")
+            vm_id = self._next_id + len(placed)
+            ledger.add(pm_idx, vm_id, vm)
+            placed.append((pos, pm_idx, vm_id))
         results: list[tuple[int, int]] = [(-1, -1)] * len(vms)
-        explainer = None
-        if traced:
-            explainer = PlacementExplainer(tel, self.placer.name,
-                                           context="online_batch")
-            explainer.set_inputs(
-                p_on=self._mapping.p_on, p_off=self._mapping.p_off,
-                table_fingerprint=table_fingerprint(self._mapping),
-                score_kind="reservation_headroom")
-        for i, (pos, pm_idx, vm) in enumerate(placed):
-            self._states[pm_idx].remove(-(pos + 1))
-            vm_id = self._next_id
-            self._next_id += 1
-            self._states[pm_idx].add(vm_id, vm)
+        for i, (pos, pm_idx, vm_id) in enumerate(placed):
             self._locations[vm_id] = pm_idx
             results[pos] = (vm_id, pm_idx)
             if explainer is not None:
-                verdicts, scores = rows[i]
-                explainer.record(vm_id, pm_idx, verdicts, scores, time=time)
+                explainer.record(vm_id, pm_idx, *rows[i], time=time)
+        self._next_id += len(placed)
         return results
 
     def depart(self, vm_id: int) -> int:
@@ -360,21 +327,24 @@ class OnlineConsolidator:
         table, block size via the recomputed ``max R_e``).
         """
         pm_idx = self.pm_of(vm_id)
-        self._states[pm_idx].remove(vm_id)
+        self._ledger.remove(pm_idx, vm_id)
         del self._locations[vm_id]
         return pm_idx
 
+    def validate_mapping(self, new_mapping: BlockMapping) -> None:
+        """Raise unless every hosted set still fits under ``new_mapping``."""
+        ledger = self._ledger
+        if np.any(ledger.committed(new_mapping) > ledger.capacity + EPS):
+            raise InsufficientCapacityError(
+                -1,
+                "recalibrated reservations exceed capacity; "
+                "re-consolidate the fleet",
+            )
+
     def _apply_mapping(self, new_mapping: BlockMapping) -> None:
-        """Swap the block table under the live reservations, or raise."""
-        for state in self._states:
-            state.mapping = new_mapping
-            if not state.is_empty and state.committed > state.spec.capacity + 1e-9:
-                raise InsufficientCapacityError(
-                    -1,
-                    "recalibrated reservations exceed capacity; "
-                    "re-consolidate the fleet",
-                )
-        self._mapping = new_mapping
+        """Swap the block table, or raise leaving every PM on the old one."""
+        self.validate_mapping(new_mapping)
+        self._ledger.set_mapping(new_mapping)
 
     def recalibrate(self) -> bool:
         """Recompute the mapping from the current population (Section IV-E).
@@ -388,7 +358,7 @@ class OnlineConsolidator:
         perturbs ``p_on``/``p_off`` in the last float bits without moving a
         single block count, and that is not a recalibration.)  Raises if
         the rebuilt reservations no longer fit — the caller should then
-        re-consolidate from scratch.
+        re-consolidate from scratch; the old table stays in force.
         """
         hosted = self.hosted_vms()
         if not hosted or self._mapping is None:
@@ -442,7 +412,7 @@ class OnlineConsolidator:
             }
         vms = {}
         for vm_id, pm_idx in self._locations.items():
-            spec = self._states[pm_idx].vms[vm_id]
+            spec = self._ledger.states[pm_idx].vms[vm_id]
             vms[str(vm_id)] = {
                 "pm": pm_idx,
                 "p_on": spec.p_on, "p_off": spec.p_off,
@@ -473,8 +443,7 @@ class OnlineConsolidator:
             raise ValueError(
                 "snapshot PM capacities do not match this fleet: "
                 f"{state['pm_capacities']} != {caps}")
-        self._mapping = None
-        self._states = []
+        self._ledger = None
         self._locations = {}
         if state["mapping"] is not None:
             m = state["mapping"]
@@ -486,15 +455,13 @@ class OnlineConsolidator:
                 raise ValueError(
                     f"rebuilt mapping fingerprint {got} != recorded "
                     f"{m['fingerprint']}; MapCal configuration drifted")
-            self._mapping = mapping
-            self._states = [PMReservationState(spec=p, mapping=mapping)
-                            for p in self._pms]
+            self._ledger = ReservationLedger(self._pms, mapping)
         for vm_id_str in sorted(state["vms"], key=int):
             rec = state["vms"][vm_id_str]
             vm_id = int(vm_id_str)
             spec = VMSpec(p_on=rec["p_on"], p_off=rec["p_off"],
                           r_base=rec["r_base"], r_extra=rec["r_extra"])
-            self._states[int(rec["pm"])].add(vm_id, spec)
+            self._ledger.add(int(rec["pm"]), vm_id, spec)
             self._locations[vm_id] = int(rec["pm"])
         self._next_id = int(state["next_id"])
         self.recalibrate_noops = int(state.get("recalibrate_noops", 0))

@@ -15,26 +15,18 @@ Total cost ``O(d^4 + n log n + m n)`` as the paper states.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from repro.cluster.binning import equal_width_bins
 from repro.cluster.kmeans import kmeans_1d
 from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import PMReservationState, ReservationLedger
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import StationaryMethod
-from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_FEASIBLE,
-    REASON_SPREAD,
-    REASON_VM_CAP,
-    InsufficientCapacityError,
-    Placer,
-)
+from repro.placement.base import InsufficientCapacityError, Placer
 from repro.placement.spread import DomainSpreadConstraint
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
@@ -137,19 +129,22 @@ class QueuingFFD(Placer):
         The simulator and the online consolidator consume the states to know
         each PM's committed (base + reserved) load without recomputation.
 
-        The first-fit scan is vectorized: each VM's Eq. (17) test evaluates
-        against *all* PMs in one NumPy pass (count/base-sum/max-``R_e``
-        vectors plus a block-table gather), so placement costs O(m) NumPy
-        work per VM rather than an O(m) Python loop —
-        :meth:`_place_reference` keeps the literal Algorithm 2 loop for
-        cross-validation.
+        The first-fit scan runs on a :class:`ReservationLedger`: each VM's
+        Eq. (17) test evaluates against *all* PMs in one NumPy pass, so
+        placement costs O(m) NumPy work per VM rather than an O(m) Python
+        loop.
         """
         with timed("queuing_ffd.place"):
-            return self._place_vectorized(vms, pms)
+            return self._pack(vms, pms, self.order_vms(vms))
 
-    def _place_vectorized(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
+    def _pack(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec],
+              order: Iterable[int]) -> tuple[Placement, list[PMReservationState]]:
+        """Place ``vms`` in ``order`` on a fresh ledger over ``pms``.
+
+        First-fit, unless the placer has a ``choose_for`` hook (GRAND):
+        then ``choose_for(vm_index)`` picks among all feasible PMs.
+        Records one decision per VM when an explainer is attached.
+        """
         placement = Placement(len(vms), len(pms))
         if not vms:
             return placement, []
@@ -169,93 +164,30 @@ class QueuingFFD(Placer):
                 table_fingerprint=table_fingerprint(mapping),
                 cache_hit=cache_stats()["misses"] == misses_before,
                 score_kind="reservation_headroom")
-        m = len(pms)
-        caps = np.array([p.capacity for p in pms], dtype=float)
-        counts = np.zeros(m, dtype=np.int64)
-        base_sums = np.zeros(m, dtype=float)
-        max_extras = np.zeros(m, dtype=float)
-        domain_counts = None
-        if self.spread is not None:
-            self.spread.check_n_pms(m)
-            domain_counts = self.spread.new_counts()
-        table = mapping.table  # table[k] = blocks for k VMs
-        order = self.order_vms(vms)
+        ledger = ReservationLedger(pms, mapping)
+        choose_for = getattr(self, "choose_for", None)
+        spread = self.spread
+        spread_ok = None
+        if spread is not None:
+            spread.check_n_pms(len(pms))
+            domain_counts = spread.new_counts()
         for vm_idx in order:
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
-            new_counts = counts + 1
-            eligible = new_counts <= mapping.d
-            blocks = table[np.minimum(new_counts, mapping.d)]
-            need = (
-                np.maximum(max_extras, vm.r_extra) * blocks
-                + base_sums + vm.r_base
-            )
-            count_ok = eligible.copy()
-            capacity_ok = need <= caps + 1e-9
-            eligible &= capacity_ok
-            if self.spread is not None:
-                spread_ok = self.spread.allowed_pms(domain_counts)
-                eligible &= spread_ok
+            if spread is not None:
+                spread_ok = spread.allowed_pms(domain_counts)
+            if choose_for is None:
+                pm_idx = ledger.first_fit(vm, spread_ok)
             else:
-                spread_ok = None
-            hit = np.flatnonzero(eligible)
-            pm_idx = int(hit[0]) if hit.size else -1
+                feasible = ledger.feasible(vm, spread_ok)
+                pm_idx = int(choose_for(vm_idx)(feasible)) if feasible else -1
             if explainer is not None:
-                verdicts = []
-                for j in range(m):
-                    if j == pm_idx:
-                        verdicts.append(REASON_CHOSEN)
-                    elif not count_ok[j]:
-                        verdicts.append(REASON_VM_CAP)
-                    elif not capacity_ok[j]:
-                        verdicts.append(REASON_CVR_THRESHOLD)
-                    elif spread_ok is not None and not spread_ok[j]:
-                        verdicts.append(REASON_SPREAD)
-                    else:
-                        verdicts.append(REASON_FEASIBLE)
-                explainer.record(vm_idx, pm_idx, verdicts,
-                                 (caps - need).tolist())
+                codes, scores = ledger.verdicts(vm, pm_idx, spread_ok=spread_ok)
+                explainer.record(vm_idx, pm_idx, codes, scores)
             if pm_idx < 0:
                 raise InsufficientCapacityError(vm_idx)
-            counts[pm_idx] += 1
-            base_sums[pm_idx] += vm.r_base
-            max_extras[pm_idx] = max(max_extras[pm_idx], vm.r_extra)
-            if self.spread is not None:
-                self.spread.admit(pm_idx, domain_counts)
+            ledger.add(pm_idx, vm_idx, vm)
+            if spread is not None:
+                spread.admit(pm_idx, domain_counts)
             placement.place(vm_idx, pm_idx)
-        # Materialize the reservation states from the final assignment.
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        for vm_idx, pm_idx in placement:
-            states[pm_idx].add(vm_idx, vms[vm_idx])
-        return placement, states
-
-    def _place_reference(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
-        """Literal Algorithm 2 (per-PM Python scan); used to cross-validate
-        the vectorized path in the test suite."""
-        placement = Placement(len(vms), len(pms))
-        if not vms:
-            return placement, []
-        mapping = self.mapping_for(vms)
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        domain_counts = None
-        if self.spread is not None:
-            self.spread.check_n_pms(len(pms))
-            domain_counts = self.spread.new_counts()
-        for vm_idx in self.order_vms(vms):
-            vm_idx = int(vm_idx)
-            vm = vms[vm_idx]
-            for pm_idx, state in enumerate(states):
-                if self.spread is not None and not bool(
-                        self.spread.allowed_pms(domain_counts)[pm_idx]):
-                    continue
-                if state.fits(vm):
-                    state.add(vm_idx, vm)
-                    placement.place(vm_idx, pm_idx)
-                    if self.spread is not None:
-                        self.spread.admit(pm_idx, domain_counts)
-                    break
-            else:
-                raise InsufficientCapacityError(vm_idx)
-        return placement, states
+        return placement, ledger.states

@@ -21,6 +21,7 @@
 from repro.placement.base import (
     PLACEMENT_REASONS,
     SHED_REASONS,
+    VERDICTS,
     AdmissionRejectedError,
     InsufficientCapacityError,
     Placer,
@@ -55,6 +56,7 @@ __all__ = [
     "InsufficientCapacityError",
     "PLACEMENT_REASONS",
     "SHED_REASONS",
+    "VERDICTS",
     "GreedyRandomPlacer",
     "hash_pick",
     "Placer",

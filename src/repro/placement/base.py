@@ -6,6 +6,8 @@ import logging
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.telemetry import (
     PRE_RUN,
@@ -37,13 +39,16 @@ REASON_SHED_INBOX = "shed_inbox_full"    # admission inbox at capacity
 REASON_SHED_PRIORITY = "shed_priority"   # evicted for a higher-class arrival
 REASON_SHED_SOLVER = "shed_solver_degraded"  # no usable mapping table
 
-#: every verdict string a decision event may carry
-PLACEMENT_REASONS = frozenset({
-    REASON_CHOSEN, REASON_FEASIBLE, REASON_CAPACITY, REASON_CVR_THRESHOLD,
-    REASON_VM_CAP, REASON_SPREAD, REASON_CRASHED, REASON_BLACKLISTED,
-    REASON_SOURCE, REASON_DRAINING, REASON_FLEET_FULL, REASON_SHED_INBOX,
+#: every verdict string a decision event may carry, indexed by its integer
+#: code; the first six are :meth:`ReservationLedger.verdicts`'s codes
+VERDICTS = (
+    REASON_CHOSEN, REASON_FEASIBLE, REASON_VM_CAP, REASON_CVR_THRESHOLD,
+    REASON_DRAINING, REASON_SPREAD, REASON_CAPACITY, REASON_CRASHED,
+    REASON_BLACKLISTED, REASON_SOURCE, REASON_FLEET_FULL, REASON_SHED_INBOX,
     REASON_SHED_PRIORITY, REASON_SHED_SOLVER,
-})
+)
+PLACEMENT_REASONS = frozenset(VERDICTS)
+_VERDICT_CODE = {v: code for code, v in enumerate(VERDICTS)}
 
 #: the subset a load-shedding admission rejection may carry as its reason
 SHED_REASONS = frozenset({
@@ -52,22 +57,29 @@ SHED_REASONS = frozenset({
 })
 
 
-def truncate_candidates(verdicts: Sequence[str], chosen: int,
+def _verdict_codes(verdicts: Sequence[str] | np.ndarray) -> np.ndarray:
+    """Codes (indices into :data:`VERDICTS`) of verdict codes or strings."""
+    if isinstance(verdicts, np.ndarray) and verdicts.dtype.kind in "iu":
+        return verdicts
+    return np.array([_VERDICT_CODE[v] for v in verdicts], dtype=np.int64)
+
+
+def truncate_candidates(verdicts: Sequence[str] | np.ndarray, chosen: int,
                         top_k: int = 8) -> tuple[list[int], int]:
     """Pick the ``top_k`` candidate rows worth keeping in a decision event.
 
+    ``verdicts`` holds one verdict per PM, as codes or strings.
     Deterministic: the winner first, then feasible PMs, then the rest, ties
     broken by PM index; the kept set is returned sorted by PM index along
     with how many rows were dropped (the event records the drop count, so
     truncation is never silent).
     """
-    total = len(verdicts)
-    order = sorted(range(total), key=lambda i: (
-        0 if i == chosen else
-        1 if verdicts[i] == REASON_FEASIBLE else 2,
-        i))
-    keep = sorted(order[:top_k])
-    return keep, total - len(keep)
+    codes = _verdict_codes(verdicts)
+    rank = np.where(codes == _VERDICT_CODE[REASON_FEASIBLE], 1, 2)
+    if chosen >= 0:
+        rank[chosen] = 0
+    keep = np.sort(np.argsort(rank, kind="stable")[:top_k]).tolist()
+    return keep, len(codes) - len(keep)
 
 
 class PlacementExplainer:
@@ -115,7 +127,8 @@ class PlacementExplainer:
             self.score_kind = score_kind
 
     def record(self, vm_id: int, chosen_pm: int,
-               verdicts: Sequence[str], scores: Sequence[float], *,
+               verdicts: Sequence[str] | np.ndarray,
+               scores: Sequence[float] | np.ndarray, *,
                time: int = PRE_RUN, p_on: float | None = None,
                p_off: float | None = None) -> None:
         """Emit the decision event for one VM.
@@ -123,9 +136,11 @@ class PlacementExplainer:
         ``verdicts``/``scores`` are parallel per-PM arrays covering *all*
         PMs; ``chosen_pm`` is -1 for an infeasible decision (recorded just
         before :class:`InsufficientCapacityError` is raised, so the trace
-        explains failures too).
+        explains failures too).  Verdict strings are built only for the
+        kept rows.
         """
-        keep, dropped = truncate_candidates(verdicts, chosen_pm, self.top_k)
+        codes = _verdict_codes(verdicts)
+        keep, dropped = truncate_candidates(codes, chosen_pm, self.top_k)
         if dropped:
             self.telemetry.metrics.counter(
                 "decisions_dropped_total",
@@ -145,9 +160,9 @@ class PlacementExplainer:
             score_kind=self.score_kind,
             cand_pms=tuple(int(i) for i in keep),
             cand_scores=tuple(round(float(scores[i]), 6) for i in keep),
-            cand_verdicts=tuple(str(verdicts[i]) for i in keep),
+            cand_verdicts=tuple(VERDICTS[codes[i]] for i in keep),
             dropped_candidates=int(dropped),
-            total_pms=len(verdicts),
+            total_pms=len(codes),
         ))
 
 

@@ -23,17 +23,9 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
-from repro.core.mapcal import table_fingerprint
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.reservation import PMReservationState
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_FEASIBLE,
-    REASON_VM_CAP,
-    InsufficientCapacityError,
-)
 
 
 def hash_pick(seed: int, decision_seq: int, n_choices: int) -> int:
@@ -100,42 +92,5 @@ class GreedyRandomPlacer(QueuingFFD):
     def place_with_states(
         self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
     ) -> tuple[Placement, list[PMReservationState]]:
-        placement = Placement(len(vms), len(pms))
-        if not vms:
-            return placement, []
-        explainer = self.explainer
-        mapping = self.mapping_for(vms)
-        if explainer is not None:
-            explainer.set_inputs(
-                p_on=mapping.p_on, p_off=mapping.p_off,
-                table_fingerprint=table_fingerprint(mapping),
-                score_kind="reservation_headroom")
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        for vm_idx, vm in enumerate(vms):
-            feasible: list[int] = []
-            verdicts: list[str] = []
-            scores: list[float] = []
-            for pm_idx, state in enumerate(states):
-                new_count = state.count + 1
-                blocks = int(mapping.table[min(new_count, mapping.d)])
-                need = (max(state.max_extra, vm.r_extra) * blocks
-                        + state.base_sum + vm.r_base)
-                scores.append(state.spec.capacity - need)
-                if new_count > mapping.d:
-                    verdicts.append(REASON_VM_CAP)
-                elif need > state.spec.capacity + 1e-9:
-                    verdicts.append(REASON_CVR_THRESHOLD)
-                else:
-                    verdicts.append(REASON_FEASIBLE)
-                    feasible.append(pm_idx)
-            chosen = -1
-            if feasible:
-                chosen = feasible[hash_pick(self.seed, vm_idx, len(feasible))]
-                verdicts[chosen] = REASON_CHOSEN
-            if explainer is not None:
-                explainer.record(vm_idx, chosen, verdicts, scores)
-            if chosen < 0:
-                raise InsufficientCapacityError(vm_idx)
-            states[chosen].add(vm_idx, vm)
-            placement.place(vm_idx, chosen)
-        return placement, states
+        """Place VMs in input order, each on a hash-picked feasible PM."""
+        return self._pack(vms, pms, range(len(vms)))

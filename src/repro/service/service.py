@@ -38,6 +38,8 @@ from __future__ import annotations
 import logging
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core.mapcal import table_fingerprint
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
@@ -46,7 +48,6 @@ from repro.placement.base import (
     REASON_FLEET_FULL,
     REASON_SHED_SOLVER,
     SHED_REASONS,
-    AdmissionRejectedError,
 )
 from repro.service.breaker import SolverCircuitBreaker
 from repro.service.pool import ElasticPMPool
@@ -145,25 +146,31 @@ class PlacementService:
         if tel is not None and tel.events.enabled:
             tel.emit(event)
 
-    def _empty_pms(self) -> set[int]:
-        if self.consolidator._mapping is None:
-            return set()
-        return {i for i in range(self.consolidator.n_pms)
-                if self.consolidator.state_of(i).count == 0}
+    def _empty_after(self, *, filled: int | None = None,
+                     emptied: int | None = None) -> set[int] | None:
+        """Empty PMs once a decision filling or emptying one PM applies;
+        None without a pool or a mapping (nothing to scale)."""
+        ledger = self.consolidator._ledger
+        if self.pool is None or ledger is None:
+            return None
+        empty = set(np.flatnonzero(ledger.empty_mask()).tolist()) - {filled}
+        return empty if emptied is None else empty | {emptied}
 
-    def _eligible(self) -> list[int]:
-        if self.pool is None:
-            return list(range(self.consolidator.n_pms))
-        return self.pool.active_indices()
+    def _eligible(self) -> list[int] | None:
+        """PMs open to admission; None means the whole fleet."""
+        return None if self.pool is None else self.pool.active_indices()
 
-    def _plan_scale(self, empty_after: set[int]) -> list[list]:
-        """Autoscale actions for the post-decision state (pure; journaled
-        inside the decision record, applied after it)."""
-        if self.pool is None or self.consolidator._mapping is None:
-            return []
-        return [[a, pm] for a, pm in self.pool.evaluate(empty_after)]
+    def _plan_scale(self, **change) -> tuple[list[list], set[int] | None]:
+        """Autoscale actions for the post-decision state (``change`` as in
+        :meth:`_empty_after`), with its empty-PM set (pure; journaled inside
+        the decision record, applied after it)."""
+        empty_after = self._empty_after(**change)
+        if empty_after is None:
+            return [], None
+        return ([[a, pm] for a, pm in self.pool.evaluate(empty_after)],
+                empty_after)
 
-    def _apply_scale(self, actions: list, empty_after: set[int],
+    def _apply_scale(self, actions: list, empty_after: set[int] | None,
                      seq: int, *, live: bool) -> None:
         for action, pm in actions:
             self.pool.apply(action, int(pm), pm_empty=int(pm) in empty_after)
@@ -174,7 +181,7 @@ class PlacementService:
                     active_pms=counts["active"],
                     draining_pms=counts["draining"],
                     cause="hysteresis"))
-        if self.pool is not None and self.consolidator._mapping is not None:
+        if empty_after is not None:
             self.pool.tick(empty_after)
 
     # ------------------------------------------------------------------ #
@@ -233,24 +240,21 @@ class PlacementService:
                 self._emit_degraded(seq_next)
                 return self._decide_shed(req, REASON_SHED_SOLVER)
         eligible = self._eligible()
-        feasible = [i for i in eligible
-                    if self.consolidator.state_of(i).fits(vm)]
-        if not feasible:
-            return self._decide_shed(req, REASON_FLEET_FULL)
         chooser = getattr(self.placer, "choose_for", None)
-        pm = (int(chooser(seq_next)(feasible)) if chooser is not None
-              else feasible[0])
+        pm = self.consolidator.decide(
+            vm, eligible=eligible,
+            choose=None if chooser is None else chooser(seq_next))
+        if pm < 0:
+            return self._decide_shed(req, REASON_FLEET_FULL)
         vm_id = self.consolidator._next_id
-        empty_after = self._empty_pms() - {pm}
-        scale = self._plan_scale(empty_after)
+        scale, empty_after = self._plan_scale(filled=pm)
         body = {"vm": _spec_dict(vm), "vm_id": vm_id, "pm": pm,
                 "vm_class": req.vm_class, "scale": scale}
         seq = self.wal.append("admit", body, key=req.key)
         self._chaos("appended", seq)
-        # admit() re-verifies Eq. (17) and emits the PlacementDecided
-        # provenance; `choose` pins it to the journaled outcome.
-        self.consolidator.admit(vm, time=seq, eligible=eligible,
-                                choose=lambda feas: pm)
+        # commit() applies the journaled outcome and emits its
+        # PlacementDecided provenance against the pre-admission state.
+        self.consolidator.commit(vm, pm, time=seq, eligible=eligible)
         outcome = {"op": "admit", "vm_id": vm_id, "pm": pm, "seq": seq}
         self.results[req.key] = outcome
         self.counters["requests"] += 1
@@ -262,8 +266,7 @@ class PlacementService:
 
     def _decide_shed(self, req: Request, reason: str) -> dict:
         assert reason in SHED_REASONS
-        empty_after = self._empty_pms()
-        scale = self._plan_scale(empty_after)
+        scale, empty_after = self._plan_scale()
         body = {"vm": _spec_dict(req.vm), "reason": reason,
                 "vm_class": req.vm_class, "scale": scale}
         seq = self.wal.append("shed", body, key=req.key)
@@ -291,9 +294,9 @@ class PlacementService:
         if key in self.results:
             return self.results[key]
         pm = self.consolidator.pm_of(vm_id)
-        becomes_empty = self.consolidator.state_of(pm).count == 1
-        empty_after = self._empty_pms() | ({pm} if becomes_empty else set())
-        scale = self._plan_scale(empty_after)
+        becomes_empty = self.consolidator._ledger.count[pm] == 1
+        scale, empty_after = self._plan_scale(
+            emptied=pm if becomes_empty else None)
         body = {"vm_id": int(vm_id), "pm": pm, "scale": scale}
         seq = self.wal.append("depart", body, key=key)
         self._chaos("appended", seq)
@@ -313,7 +316,10 @@ class PlacementService:
         unchanged lands as a ``recalibrate_noop`` record, so the no-op
         counter survives checkpoint + replay like every other outcome.
         The MapCal solve runs behind the breaker — a degraded solve keeps
-        the current (stale) mapping and emits ``solver_degraded``.
+        the current (stale) mapping and emits ``solver_degraded``.  A refit
+        the hosted sets no longer fit under raises
+        :class:`~repro.placement.base.InsufficientCapacityError` before
+        anything is journaled, leaving state untouched.
         """
         if key in self.results:
             return self.results[key]["op"] == "recalibrate"
@@ -329,8 +335,8 @@ class PlacementService:
             return False
         if list(new_mapping.table) == list(self.consolidator._mapping.table):
             return self._decide_recalibrate_noop(key)
-        empty_after = self._empty_pms()
-        scale = self._plan_scale(empty_after)
+        self.consolidator.validate_mapping(new_mapping)
+        scale, empty_after = self._plan_scale()
         body = {"p_on": new_mapping.p_on, "p_off": new_mapping.p_off,
                 "fingerprint": table_fingerprint(new_mapping),
                 "scale": scale}
@@ -347,8 +353,7 @@ class PlacementService:
 
     def _decide_recalibrate_noop(self, key: str) -> bool:
         """Journal a refit that changed nothing, so the counter is durable."""
-        empty_after = self._empty_pms()
-        scale = self._plan_scale(empty_after)
+        scale, empty_after = self._plan_scale()
         seq = self.wal.append("recalibrate_noop", {"scale": scale}, key=key)
         self._chaos("appended", seq)
         self.consolidator.recalibrate_noops += 1
@@ -463,19 +468,16 @@ class PlacementService:
                                      "pm": body["pm"], "seq": rec.seq}
             self.counters["requests"] += 1
             self.counters["admitted"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "shed":
             self.results[rec.key] = {"op": "shed", "reason": body["reason"],
                                      "seq": rec.seq}
             self.counters["requests"] += 1
             self.counters["shed"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "depart":
             self.consolidator.depart(int(body["vm_id"]))
             self.results[rec.key] = {"op": "depart", "vm_id": body["vm_id"],
                                      "pm": body["pm"], "seq": rec.seq}
             self.counters["departed"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "recalibrate":
             self.consolidator.apply_recalibrate(body["p_on"], body["p_off"])
             got = table_fingerprint(self.consolidator._mapping)
@@ -486,17 +488,15 @@ class PlacementService:
             self.results[rec.key] = {"op": "recalibrate", "seq": rec.seq,
                                      "fingerprint": body["fingerprint"]}
             self.counters["recalibrations"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "recalibrate_noop":
             self.consolidator.recalibrate_noops += 1
             self.results[rec.key] = {"op": "recalibrate_noop",
                                      "seq": rec.seq}
-            empty_after = self._empty_pms()
         else:
             raise WALError(f"unknown WAL op {rec.op!r} at seq {rec.seq}")
         if self.pool is not None:
-            self._apply_scale(body.get("scale", []), empty_after, rec.seq,
-                              live=False)
+            self._apply_scale(body.get("scale", []), self._empty_after(),
+                              rec.seq, live=False)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -129,6 +129,26 @@ class TestRecalibrate:
     def test_no_vms_is_noop(self, consolidator):
         assert consolidator.recalibrate() is False
 
+    def test_refused_refit_leaves_every_pm_on_the_old_table(self):
+        # PM 1 cannot hold its two VMs under the hot table; PM 0 can.  The
+        # refusal must leave both PMs, and the fingerprint, on the old one.
+        from repro.core.mapcal import table_fingerprint
+
+        c = OnlineConsolidator([PMSpec(100.0), PMSpec(30.0)],
+                               QueuingFFD(rho=0.01, d=16))
+        for pm in (0, 0, 1, 1):
+            c.admit(vm(10, 10), eligible=[pm])
+
+        def snapshot():
+            return [(table_fingerprint(c.state_of(j).mapping),
+                     c.state_of(j).committed) for j in range(c.n_pms)]
+
+        before, fingerprint = snapshot(), c.state_fingerprint()
+        with pytest.raises(InsufficientCapacityError):
+            c.apply_recalibrate(0.5, 0.05)
+        assert snapshot() == before
+        assert c.state_fingerprint() == fingerprint
+
 
 class TestAccessors:
     def test_state_before_any_admit_raises(self, consolidator):

@@ -13,6 +13,7 @@ from repro.placement.validation import (
     max_vms_on_any_pm,
 )
 from repro.workload.patterns import generate_pattern_instance
+from tests.eq17_oracle import place_reference
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -129,7 +130,7 @@ class TestVectorizedEqualsReference:
         vms, pms = generate_pattern_instance(pattern, 120, seed=21)
         placer = QueuingFFD(rho=0.01, d=16)
         fast, fast_states = placer.place_with_states(vms, pms)
-        ref, ref_states = placer._place_reference(vms, pms)
+        ref, ref_states = place_reference(placer, vms, pms)
         np.testing.assert_array_equal(fast.assignment, ref.assignment)
         for a, b in zip(fast_states, ref_states):
             assert set(a.vms) == set(b.vms)
@@ -142,7 +143,7 @@ class TestVectorizedEqualsReference:
         )
         placer = QueuingFFD(rho=0.01, d=16)
         fast, _ = placer.place_with_states(vms, pms)
-        ref, _ = placer._place_reference(vms, pms)
+        ref, _ = place_reference(placer, vms, pms)
         np.testing.assert_array_equal(fast.assignment, ref.assignment)
 
     def test_identical_failure_behaviour(self):
@@ -152,7 +153,7 @@ class TestVectorizedEqualsReference:
         with pytest.raises(InsufficientCapacityError) as fast_exc:
             placer.place_with_states(vms, pms)
         with pytest.raises(InsufficientCapacityError) as ref_exc:
-            placer._place_reference(vms, pms)
+            place_reference(placer, vms, pms)
         assert fast_exc.value.vm_index == ref_exc.value.vm_index
 
 

@@ -10,6 +10,7 @@ from repro.placement.ffd import NextFit, ffd_by_base, ffd_by_peak
 from repro.placement.spread import DomainSpreadConstraint
 from repro.simulation.topology import Topology
 from repro.workload.patterns import generate_pattern_instance
+from tests.eq17_oracle import place_reference
 
 
 def small_vms(n, base=10.0):
@@ -80,7 +81,7 @@ class TestWithPlacers:
         placer = QueuingFFD(rho=0.01, d=16,
                             spread=DomainSpreadConstraint(topo, 4))
         fast, _ = placer.place_with_states(vms, pms)
-        slow, _ = placer._place_reference(vms, pms)
+        slow, _ = place_reference(placer, vms, pms)
         np.testing.assert_array_equal(fast.assignment, slow.assignment)
 
     def test_topology_size_mismatch_raises(self):

@@ -224,3 +224,30 @@ def test_replay_rejects_divergent_vm_ids(tmp_path):
     with pytest.raises(ValueError, match="divergent"):
         PlacementService.recover([PMSpec(20.0)] * 4,
                                  wal_path=tmp_path / "wal.jsonl")
+
+
+def test_refused_recalibration_journals_nothing(tmp_path):
+    # Cold VMs lock a cold table; a hot majority then makes the refit's
+    # reservations exceed both PMs.  The refusal must come before the WAL
+    # append, or every later recovery replays a refit it cannot apply.
+    from repro.core.queuing_ffd import QueuingFFD
+    from repro.placement.base import InsufficientCapacityError
+
+    def build(recover=False):
+        make = PlacementService.recover if recover else PlacementService
+        return make([PMSpec(100.0)] * 2, QueuingFFD(rho=0.01, d=16),
+                    wal_path=tmp_path / "wal.jsonl",
+                    checkpoint_path=tmp_path / "ckpt.json")
+
+    svc = build()
+    for i in range(4):
+        svc.submit(f"c{i}", VMSpec(0.01, 0.09, 10.0, 10.0))
+    for i in range(6):
+        svc.submit(f"h{i}", VMSpec(0.5, 0.05, 10.0, 10.0))
+    svc.drain()
+    seq, before = svc.wal.last_seq, canonical(svc)
+    with pytest.raises(InsufficientCapacityError):
+        svc.recalibrate("refit")
+    assert svc.wal.last_seq == seq
+    assert canonical(svc) == before
+    assert canonical(build(recover=True)) == canonical(svc)
