@@ -15,6 +15,11 @@ import numpy as np
 from repro.core.types import Placement, VMSpec, vm_arrays
 from repro.utils.rng import SeedLike, as_generator
 
+#: uniforms drawn per block in :func:`ensemble_states`: 512 KB of float64
+#: stays cache-resident (a 1M-element block ran slower than per-step draws
+#: for 3,000 VMs)
+_UNIFORMS_PER_BLOCK = 1 << 16
+
 
 def ensemble_states(vms: Sequence[VMSpec], n_steps: int, *,
                     start_stationary: bool = False,
@@ -50,10 +55,15 @@ def ensemble_states(vms: Sequence[VMSpec], n_steps: int, *,
     else:
         states[:, 0] = False
     current = states[:, 0].copy()
-    for t in range(n_steps):
-        u = rng.random(n)
-        current = np.where(current, u >= p_off, u < p_on)
-        states[:, t + 1] = current
+    # One (m, n) draw is the same PCG64 stream as m draws of n, in order.
+    block = max(1, _UNIFORMS_PER_BLOCK // max(n, 1))
+    for start in range(0, n_steps, block):
+        u = rng.random((min(block, n_steps - start), n))
+        stay_on = u >= p_off
+        turn_on = u < p_on
+        for k in range(u.shape[0]):
+            current = np.where(current, stay_on[k], turn_on[k])
+            states[:, start + k + 1] = current
     return states
 
 

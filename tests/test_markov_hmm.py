@@ -72,6 +72,23 @@ class TestFitHmm:
         with pytest.raises(ValueError):
             fit_hmm_onoff(np.arange(10.0), tol=0.0)
 
+    @pytest.mark.parametrize("clip", [0.7, 0.5000001, -1e-3, float("nan")])
+    def test_rejects_clip_outside_half_interval(self, clip):
+        # np.clip with lower > upper would silently pin p_on = p_off
+        with pytest.raises(ValueError, match="clip"):
+            fit_hmm_onoff(np.arange(10.0), clip=clip)
+
+    @pytest.mark.parametrize("min_var", [-1.0, 0.0, float("inf")])
+    def test_rejects_non_positive_min_var(self, min_var):
+        with pytest.raises(ValueError, match="min_var"):
+            fit_hmm_onoff(np.arange(10.0), min_var=min_var)
+
+    def test_clip_bounds_accepted(self):
+        trace, _ = noisy_trace(VMSpec(0.05, 0.2, 5.0, 5.0), 500, seed=6,
+                               noise=0.3)
+        assert fit_hmm_onoff(trace, clip=0.5).p_on == 0.5
+        fit_hmm_onoff(trace, clip=0.0)
+
     def test_deterministic(self):
         vm = VMSpec(0.05, 0.15, 4.0, 6.0)
         trace, _ = noisy_trace(vm, 5_000, seed=4, noise=0.4)

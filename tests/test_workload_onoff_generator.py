@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.types import Placement, VMSpec
+from repro.workload import onoff_generator
 from repro.workload.onoff_generator import demand_trace, ensemble_states, pm_load_trace
+from tests.onoff_oracle import ensemble_states_reference
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -47,6 +49,44 @@ class TestEnsembleStates:
     def test_negative_steps(self):
         with pytest.raises(ValueError):
             ensemble_states([vm(1, 1)], -1)
+
+
+def mixed_fleet(n):
+    rng = np.random.default_rng(n)
+    return [vm(1, 1, p_on=float(a), p_off=float(b))
+            for a, b in zip(rng.uniform(0.01, 0.5, n), rng.uniform(0.05, 0.9, n))]
+
+
+def step_counts(n):
+    """0, a few steps, and one length that is not a whole number of blocks."""
+    block = max(1, onoff_generator._UNIFORMS_PER_BLOCK // n)
+    return (0, 5, 2 * block + 3)
+
+
+class TestEnsembleStatesBlockDraws:
+    """Block draws give the per-step reference's states and RNG stream."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("start_stationary", [False, True])
+    def test_matches_reference(self, n, start_stationary):
+        vms = mixed_fleet(n)
+        for n_steps in step_counts(n):
+            fast_rng = np.random.default_rng(n_steps + n)
+            ref_rng = np.random.default_rng(n_steps + n)
+            fast = ensemble_states(vms, n_steps, seed=fast_rng,
+                                   start_stationary=start_stationary)
+            ref = ensemble_states_reference(vms, n_steps, seed=ref_rng,
+                                            start_stationary=start_stationary)
+            assert fast.shape == ref.shape == (n, n_steps + 1)
+            assert fast.flags.c_contiguous
+            assert fast.tobytes() == ref.tobytes()
+            # the caller's generator is left at the same stream position
+            assert fast_rng.random() == ref_rng.random()
+
+    def test_empty_fleet(self):
+        rng = np.random.default_rng(0)
+        assert ensemble_states([], 10, seed=rng).shape == (0, 11)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestDemandTrace:
