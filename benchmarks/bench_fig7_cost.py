@@ -30,6 +30,6 @@ def test_fig7_cost_table(benchmark, save_result):
 def test_fig7_algorithm2_hot_path(benchmark):
     vms, pms = generate_pattern_instance("equal", 400, seed=0)
     placer = QueuingFFD(rho=0.01, d=16)
-    placer.mapping_for(vms)  # warm the mapping cache
+    placer.mapping_for(vms)  # warm the table memo
 
     benchmark(lambda: placer.place(vms, pms))

@@ -1,9 +1,11 @@
-"""Complexity check: MapCal's O(k^3) and the mapping table's O(d^4).
+"""Complexity check: the closed-form MapCal table and the paper's chain.
 
 The paper states Algorithm 1 costs O(k^3) (kernel construction + Gaussian
-elimination) and the Algorithm 2 precomputation O(d^4).  These benches time
-the real implementation across k/d so regressions in the vectorized kernel
-show up, and the growth-rate assertion catches accidental O(k^4) slips.
+elimination) and the Algorithm 2 precomputation O(d^4); those claims
+describe ``method="chain"``, whose kernel cost the growth-rate test bounds.
+The default ``method="binomial"`` reads every ``K`` off one Binomial(k, q)
+PMF table, O(d^2) per table.  These benches time both across k/d and guard
+the table memo: one miss per table, then hits.
 """
 
 import time
@@ -30,28 +32,28 @@ def test_mapping_table_cost(benchmark, d):
 
 
 def test_mapping_table_is_one_pass_at_d200(benchmark):
-    """Regression guard for the table-construction hot loop.
+    """Regression guard for the d=200 table build and its memo.
 
-    Building a d=200 table must solve each ``k`` exactly once (validation
-    hoisted out of the loop, every solve routed through the cache), and a
-    second build must be pure cache hits.  Before the cache, the loop
-    re-validated and re-solved per ``k`` on every call.
+    A cold build is one memo miss and stays well under the chain's ~1.5 s
+    (the closed form takes ~11 ms); a rebuild is one hit and costs no
+    more than a dictionary lookup.
     """
     with fresh_cache() as cache:
+        t0 = time.perf_counter()
         mapping = benchmark.pedantic(
             lambda: mapcal_table(200, 0.01, 0.09, 0.01),
             rounds=1, iterations=1,
         )
+        cold = time.perf_counter() - t0
         assert mapping.d == 200
-        assert cache.misses == 200 and cache.hits == 0
-
-        rebuilt = mapcal_table(200, 0.01, 0.09, 0.01)
-        assert cache.misses == 200 and cache.hits == 200
-        assert (rebuilt.table == mapping.table).all()
+        assert (cache.hits, cache.misses) == (0, 1)
 
         t0 = time.perf_counter()
-        mapcal_table(200, 0.01, 0.09, 0.01)
+        rebuilt = mapcal_table(200, 0.01, 0.09, 0.01)
         warm = time.perf_counter() - t0
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert rebuilt is mapping
+    assert cold < 0.25, f"cold d=200 table took {cold * 1e3:.0f} ms"
     assert warm < 0.1, f"warm d=200 table took {warm * 1e3:.0f} ms"
 
 

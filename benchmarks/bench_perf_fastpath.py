@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from repro.core.queuing_ffd import QueuingFFD
-from repro.perf.cache import cache_stats
 from repro.simulation.costmodel import MigrationCostModel
 from repro.simulation.energy import EnergyModel
 from repro.simulation.scenario import Scenario
@@ -53,9 +52,8 @@ def _best_of(n_runs: int, tick_mode: str):
 
 
 def test_fastpath_identical_and_faster(benchmark, save_result):
-    # Warm the MapCal cache so both paths time the tick, not the solves.
+    # Warm the MapCal table memo so both paths time the tick, not the table.
     _scenario("vectorized").run(2, seed=SEED)
-    warm = cache_stats()
 
     t_fast, fast = _best_of(3, "vectorized")
     t_slow, slow = _best_of(2, "scalar")
@@ -82,21 +80,6 @@ def test_fastpath_identical_and_faster(benchmark, save_result):
         "regressed"
     )
 
-    # -- solve cache: post-warm-up traffic must be nearly all hits ------ #
-    # Every timed run re-solves the same (rho, d, demand-profile) MapCal
-    # instances the warm-up already populated, so a windowed hit rate
-    # below 90% means the cache key or eviction policy regressed — a
-    # slowdown wall-clock noise could otherwise mask.
-    stats = cache_stats()
-    hits = stats["hits"] - warm["hits"]
-    misses = stats["misses"] - warm["misses"]
-    lookups = hits + misses
-    hit_rate = hits / lookups if lookups else 1.0
-    assert hit_rate > 0.90, (
-        f"mapcal solve-cache hit rate {hit_rate:.1%} after warm-up "
-        f"({hits:.0f} hits / {misses:.0f} misses) — cache regressed"
-    )
-
     benchmark.pedantic(
         lambda: _scenario("vectorized").run(N_INTERVALS, seed=SEED),
         rounds=2, iterations=1,
@@ -110,7 +93,6 @@ def test_fastpath_identical_and_faster(benchmark, save_result):
             f"vectorized tick  : {t_fast * 1e3:8.1f} ms",
             f"speedup          : {speedup:8.2f}x",
             "report parity    : bit-identical",
-            f"cache hit rate   : {hit_rate:8.1%} (post-warm-up)",
         ]),
         name="perf_fastpath",
     )

@@ -11,8 +11,7 @@ guarantee the placement was sized for silently evaporates.  The
 2. **Refit** — re-estimate every VM's chain from the live demand stream via
    Baum-Welch (:func:`repro.markov.hmm.fit_hmm_onoff`), falling back to the
    threshold estimator on non-convergence.
-3. **Replan** — warm the MapCal effective-size tables through the
-   content-addressed solve cache, then request an incremental
+3. **Replan** — request an incremental
    reconsolidation from the :class:`ReconsolidationScheduler` under an
    explicit migration budget, and commit the refitted law as the drift
    detector's new null (:meth:`Datacenter.set_assumed_law`).
@@ -50,7 +49,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.mapcal import mapcal_table
 from repro.core.types import VMSpec
 from repro.markov.hmm import fit_hmm_onoff
 from repro.simulation.checkpoint import (
@@ -478,18 +476,13 @@ class Autopilot:
             self._stats.checkpoints.append(str(path))
         baseline = self.observatory.recorder.cvr(cfg.guard_window)
 
-        # 2. warm the MapCal effective-size tables through the solve cache
-        for p_on, p_off in sorted({(round(f.p_on, 4), round(f.p_off, 4))
-                                   for f in fits}):
-            mapcal_table(cfg.d, p_on, p_off, cfg.rho)
-
-        # 3. request the incremental reconsolidation (executes next tick,
+        # 2. request the incremental reconsolidation (executes next tick,
         #    so its migrations flow through the monitor like any others)
         specs = [f.to_vmspec() for f in fits]
         run.scheduler.request_replan(vms=specs,
                                      max_moves=cfg.migration_budget)
 
-        # 4. commit the refitted law as the drift detector's new null —
+        # 3. commit the refitted law as the drift detector's new null —
         #    AFTER the capture, so a rollback reverts it with everything
         #    else — and drop evidence accumulated against the old null
         run.datacenter.set_assumed_law([s.p_on for s in specs],

@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.cluster.binning import equal_width_bins
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.perf.cache import get_cache
 from repro.placement.base import InsufficientCapacityError, Placer
+from repro.queueing.geom_geom_k import overflow_quantile
 from repro.utils.validation import check_integer, check_probability
 
 _EPS = 1e-9
@@ -76,13 +76,9 @@ def heterogeneous_blocks(vms: Sequence[VMSpec], rho: float) -> int:
     the paper's uniform case, so it is delegated to
     :func:`repro.core.mapcal.mapcal` — the reduction property holds by
     construction rather than by numerical coincidence (the convolution and
-    chain-solve routes can disagree by one block when ``1 - rho`` lands
-    inside their ~1e-16 error band), and the solve shares cache entries
-    with the MapCal tables.
-
-    Solves are memoized through :func:`repro.perf.cache.get_cache`,
-    content-addressed on the sorted ``q_i`` multiset and ``rho`` (block
-    count is permutation-invariant in the ``q_i``).
+    binomial-table routes can disagree by one block when ``1 - rho`` lands
+    inside their ~1e-16 error band).  Both routes apply the tie rule of
+    :func:`~repro.queueing.geom_geom_k.overflow_quantile`.
     """
     check_probability(rho, "rho")
     if not vms:
@@ -92,16 +88,8 @@ def heterogeneous_blocks(vms: Sequence[VMSpec], rho: float) -> int:
         from repro.core.mapcal import mapcal
 
         return mapcal(len(vms), first[0], first[1], rho)
-    q = stationary_on_probabilities(vms)
-    key = ("het", tuple(sorted(float(qi) for qi in q)), float(rho))
-    return get_cache().get_or_compute(key, lambda: _solve_blocks(q, rho))
-
-
-def _solve_blocks(q: np.ndarray, rho: float) -> int:
-    pmf = poisson_binomial_pmf(q)
-    cumulative = np.cumsum(pmf)
-    meets = np.flatnonzero(cumulative >= 1.0 - rho - 1e-15)
-    return int(meets[0]) if meets.size else q.size
+    return overflow_quantile(
+        poisson_binomial_pmf(stationary_on_probabilities(vms)), rho)
 
 
 def heterogeneous_cvr(vms: Sequence[VMSpec], n_blocks: int) -> float:
@@ -134,11 +122,6 @@ class _HeteroPMState:
     def count(self) -> int:
         return len(self.vm_ids)
 
-    def _blocks_from(self, pmf: np.ndarray) -> int:
-        cumulative = np.cumsum(pmf)
-        meets = np.flatnonzero(cumulative >= 1.0 - self.rho - 1e-15)
-        return int(meets[0]) if meets.size else pmf.size - 1
-
     def _extended(self, q: float) -> np.ndarray:
         new = np.zeros(self.pmf.size + 1)
         new[: self.pmf.size] = self.pmf * (1.0 - q)
@@ -151,7 +134,7 @@ class _HeteroPMState:
             return False
         q = vm.p_on / (vm.p_on + vm.p_off)
         pmf = self._extended(q)
-        blocks = self._blocks_from(pmf)
+        blocks = overflow_quantile(pmf, self.rho)
         new_max = max(self.max_extra, vm.r_extra)
         need = new_max * blocks + self.base_sum + vm.r_base
         return need <= self.spec.capacity + _EPS
@@ -166,7 +149,7 @@ class _HeteroPMState:
     @property
     def n_blocks(self) -> int:
         """Current exact block requirement of the hosted set."""
-        return self._blocks_from(self.pmf)
+        return overflow_quantile(self.pmf, self.rho)
 
     @property
     def committed(self) -> float:

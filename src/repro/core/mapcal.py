@@ -3,85 +3,52 @@
 Given ``k`` collocated VMs sharing common switch probabilities
 ``(p_on, p_off)`` and a CVR bound ``rho``, MapCal returns the least number of
 reservation blocks ``K`` such that the long-run fraction of time more than
-``K`` VMs are simultaneously ON is at most ``rho``:
+``K`` VMs are simultaneously ON is at most ``rho``.  The paper computes it in
+three steps:
 
 1. build the ``(k+1)``-state busy-block transition matrix (paper Eq. 12);
-2. solve the stationary distribution ``Pi`` (paper Eq. 14, Gaussian
-   elimination — our default ``"linear"`` solver);
+2. solve the stationary distribution ``Pi`` by Gaussian elimination
+   (paper Eq. 14);
 3. return the least ``K`` with ``sum_{m<=K} pi_m >= 1 - rho`` (paper Eq. 15).
 
+The ``k`` VMs switch independently, so ``Pi`` is exactly
+``Binomial(k, q)`` with ``q = p_on / (p_on + p_off)``.  The default
+``method="binomial"`` therefore reads ``K`` off one binomial PMF table:
+``O(d^2)`` for a whole ``k -> K`` table, where steps 1-2 cost ``O(k^3)`` per
+``k`` and ``O(d^4)`` per table.  ``method="chain"`` runs steps 1-3 as the
+paper writes them; it is the oracle in the tests and what Fig. 7 times.
+Both routes share one tie rule at ``1 - rho``
+(:func:`repro.queueing.geom_geom_k.overflow_quantile`), which returns
+``K = k`` at ``rho = 0``.
+
 The paper additionally requires ``K < k`` in Eq. 15; since ``K = k`` always
-satisfies the bound (overflow is impossible), the scan below naturally
-returns ``K <= k`` and equals the paper's value whenever one with ``K < k``
-exists.
+satisfies the bound (overflow is impossible), the scan returns ``K <= k``
+and equals the paper's value whenever one with ``K < k`` exists.
 
 :func:`mapcal_table` precomputes ``mapping[k]`` for every ``k`` up to the
 per-PM VM limit ``d``, which QueuingFFD (Algorithm 2, lines 1-6) consumes.
-
-Every solve is memoized through the process-wide
-:class:`repro.perf.cache.MapCalCache`, content-addressed on
-``(k, p_on, p_off, rho, method)``: repeated tables, re-consolidation
-periods and benchmark repetitions hit the cache instead of re-running the
-``O(k^3)`` Gaussian elimination (set ``REPRO_CACHE_DIR`` to also persist
-results across processes).
+Tables are memoized in a bounded LRU of :data:`TABLE_MEMO_SIZE` entries;
+:func:`repro.perf.cache.fresh_cache` empties it and counts its traffic.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Literal
 
 import numpy as np
 
-from repro.markov.chain import StationaryMethod
-from repro.perf.cache import get_cache
-from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from repro.markov.binomial import binomial_pmf_table
+from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK, overflow_quantile
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
 
+MapCalMethod = Literal["binomial", "chain"]
 
-def _solve_mapcal(k: int, p_on: float, p_off: float, rho: float,
-                  method: StationaryMethod) -> int:
-    """The actual (uncached, unvalidated) Algorithm 1 solve."""
-    with timed("mapcal.solve"):
-        model = FiniteSourceGeomGeomK(k, p_on, p_off)
-        return model.min_windows_for_overflow(rho, method)
-
-
-def _cached_mapcal(k: int, p_on: float, p_off: float, rho: float,
-                   method: StationaryMethod) -> int:
-    """Cache-aware solve; callers have already validated the arguments."""
-    key = ("mapcal", k, float(p_on), float(p_off), float(rho), str(method))
-    return get_cache().get_or_compute(
-        key, lambda: _solve_mapcal(k, p_on, p_off, rho, method))
-
-
-def mapcal(k: int, p_on: float, p_off: float, rho: float,
-           *, method: StationaryMethod = "linear") -> int:
-    """Minimum number of blocks for ``k`` VMs under CVR bound ``rho``.
-
-    Parameters
-    ----------
-    k:
-        Number of VMs hosted on the PM (``k >= 0``; ``k = 0`` returns 0).
-    p_on, p_off:
-        Common ON-OFF switch probabilities, both in (0, 1].
-    rho:
-        CVR threshold in [0, 1].
-    method:
-        Stationary-distribution solver (see
-        :meth:`repro.markov.chain.DiscreteMarkovChain.stationary_distribution`).
-
-    Returns
-    -------
-    int
-        The block count ``K`` in ``[0, k]``.
-    """
-    k = check_integer(k, "k", minimum=0)
-    check_probability(rho, "rho")
-    if k == 0:
-        return 0
-    return _cached_mapcal(k, p_on, p_off, rho, method)
+#: block tables kept by the memo (a d=200 table is ~2 KiB)
+TABLE_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -133,23 +100,66 @@ def table_fingerprint(mapping: BlockMapping) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _checked(p_on: float, p_off: float, rho: float,
+             method: str) -> tuple[float, float, float]:
+    if method not in ("binomial", "chain"):
+        raise ValueError(
+            f"method must be 'binomial' or 'chain', got {method!r}")
+    return (check_probability(p_on, "p_on", allow_zero=False),
+            check_probability(p_off, "p_off", allow_zero=False),
+            check_probability(rho, "rho"))
+
+
+@lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _build_table(d: int, p_on: float, p_off: float, rho: float,
+                 method: MapCalMethod) -> BlockMapping:
+    """The ``k -> K`` table for ``k`` in ``[0, d]``; arguments pre-validated."""
+    if method == "binomial":
+        pmf = binomial_pmf_table(d, p_on / (p_on + p_off))
+        blocks = [overflow_quantile(pmf[k, : k + 1], rho)
+                  for k in range(d + 1)]
+    else:
+        blocks = [0] + [
+            FiniteSourceGeomGeomK(k, p_on, p_off).min_windows_for_overflow(rho)
+            for k in range(1, d + 1)]
+    return BlockMapping(p_on=p_on, p_off=p_off, rho=rho, table=blocks)
+
+
+def mapcal(k: int, p_on: float, p_off: float, rho: float,
+           *, method: MapCalMethod = "binomial") -> int:
+    """Minimum number of blocks for ``k`` VMs under CVR bound ``rho``.
+
+    Parameters
+    ----------
+    k:
+        Number of VMs hosted on the PM (``k >= 0``; ``k = 0`` returns 0).
+    p_on, p_off:
+        Common ON-OFF switch probabilities, both in (0, 1].
+    rho:
+        CVR threshold in [0, 1].
+    method:
+        ``"binomial"`` (closed form) or ``"chain"`` (Alg. 1's chain solve).
+
+    Returns
+    -------
+    int
+        The block count ``K`` in ``[0, k]``; entry ``k`` of
+        :func:`mapcal_table`.
+    """
+    k = check_integer(k, "k", minimum=0)
+    p_on, p_off, rho = _checked(p_on, p_off, rho, method)
+    return int(_build_table(k, p_on, p_off, rho, method).table[k])
+
+
 def mapcal_table(d: int, p_on: float, p_off: float, rho: float,
-                 *, method: StationaryMethod = "linear") -> BlockMapping:
+                 *, method: MapCalMethod = "binomial") -> BlockMapping:
     """Precompute ``mapping[k]`` for all ``k`` in ``[0, d]`` (Alg. 2 lines 1-6).
 
-    Cost is ``O(d^4)`` as stated in the paper (one ``O(k^3)`` MapCal per
-    ``k``) on a cold cache; warm tables are one dictionary lookup per
-    ``k``.  Validation is hoisted out of the loop — the per-``k`` path does
-    no re-checking and no per-call span bookkeeping, so building the
-    ``d = 200`` table is a single pass.  The result is immutable and safely
+    ``O(d^2)`` on the default binomial route; ``method="chain"`` costs the
+    paper's ``O(d^4)``.  The result is memoized, immutable and safely
     shareable across placers.
     """
     d = check_integer(d, "d", minimum=1)
-    p_on = check_probability(p_on, "p_on", allow_zero=False)
-    p_off = check_probability(p_off, "p_off", allow_zero=False)
-    rho = check_probability(rho, "rho")
-    table = np.zeros(d + 1, dtype=np.int64)
+    p_on, p_off, rho = _checked(p_on, p_off, rho, method)
     with timed("mapcal.table"):
-        for k in range(1, d + 1):
-            table[k] = _cached_mapcal(k, p_on, p_off, rho, method)
-    return BlockMapping(p_on=p_on, p_off=p_off, rho=rho, table=table)
+        return _build_table(d, p_on, p_off, rho, method)

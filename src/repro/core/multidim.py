@@ -20,10 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.mapcal import BlockMapping, mapcal_table
+from repro.core.mapcal import BlockMapping, MapCalMethod, mapcal_table
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, VMSpec
-from repro.markov.chain import StationaryMethod
 from repro.placement.base import InsufficientCapacityError
 from repro.utils.validation import check_integer, check_probability
 
@@ -155,11 +154,11 @@ class MultiDimFirstFit:
 
     def __init__(self, rho: float = 0.01, d: int = 16, *,
                  rounding_rule: RoundingRule = "mean",
-                 stationary_method: StationaryMethod = "linear"):
+                 stationary_method: MapCalMethod = "binomial"):
         self.rho = check_probability(rho, "rho")
         self.d = check_integer(d, "d", minimum=1)
         self.rounding_rule: RoundingRule = rounding_rule
-        self.stationary_method: StationaryMethod = stationary_method
+        self.stationary_method: MapCalMethod = stationary_method
 
     def _mapping(self, vms: Sequence[MultiDimVMSpec]) -> BlockMapping:
         proxies = [v.projected(0) for v in vms]

@@ -21,11 +21,15 @@ import numpy as np
 
 from repro.cluster.binning import equal_width_bins
 from repro.cluster.kmeans import kmeans_1d
-from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
+from repro.core.mapcal import (
+    BlockMapping,
+    MapCalMethod,
+    mapcal_table,
+    table_fingerprint,
+)
 from repro.core.reservation import PMReservationState, ReservationLedger
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.markov.chain import StationaryMethod
 from repro.placement.base import InsufficientCapacityError, Placer
 from repro.placement.spread import DomainSpreadConstraint
 from repro.telemetry import timed
@@ -53,7 +57,8 @@ class QueuingFFD(Placer):
         How heterogeneous ``(p_on, p_off)`` values are collapsed
         (Section IV-E); ignored when they are already uniform.
     stationary_method:
-        Stationary-distribution solver passed through to MapCal.
+        MapCal route: ``"binomial"`` (closed form, the default) or
+        ``"chain"`` (Alg. 1's Gaussian elimination, as Fig. 7 times it).
     spread:
         Optional :class:`~repro.placement.spread.DomainSpreadConstraint`
         capping VMs per fault domain on top of the Eq. (17) feasibility
@@ -65,7 +70,7 @@ class QueuingFFD(Placer):
     def __init__(self, rho: float = 0.01, d: int = 16, *, n_clusters: int = 10,
                  cluster_method: ClusterMethod = "binning",
                  rounding_rule: RoundingRule = "mean",
-                 stationary_method: StationaryMethod = "linear",
+                 stationary_method: MapCalMethod = "binomial",
                  spread: DomainSpreadConstraint | None = None):
         self.rho = check_probability(rho, "rho")
         self.d = check_integer(d, "d", minimum=1)
@@ -74,7 +79,7 @@ class QueuingFFD(Placer):
             raise ValueError(f"unknown cluster_method {cluster_method!r}")
         self.cluster_method = cluster_method
         self.rounding_rule: RoundingRule = rounding_rule
-        self.stationary_method: StationaryMethod = stationary_method
+        self.stationary_method: MapCalMethod = stationary_method
         self.spread = spread
 
     # ------------------------------------------------------------------ #
@@ -84,10 +89,7 @@ class QueuingFFD(Placer):
         """The ``k -> K`` block table for this VM population.
 
         Uses the common ``(p_on, p_off)`` if uniform, otherwise the
-        configured rounding rule.  The per-``k`` solves are memoized by the
-        process-wide :class:`repro.perf.cache.MapCalCache`, so a warm table
-        rebuild costs ``d`` dictionary lookups — a placer-local table cache
-        would only hide that traffic from the cache counters.
+        configured rounding rule.  :func:`mapcal_table` memoizes the table.
         """
         p_on, p_off = round_switch_probabilities(vms, self.rounding_rule)
         return mapcal_table(
@@ -154,15 +156,14 @@ class QueuingFFD(Placer):
         else:
             # Stamp the model inputs on every decision: the (rounded)
             # switching probabilities, a fingerprint of the MapCal table the
-            # Eq. (17) test ran against, and whether building it hit the
-            # process-wide cache (no new misses = fully warm).
-            from repro.perf.cache import cache_stats
-            misses_before = cache_stats()["misses"]
+            # Eq. (17) test ran against, and whether the table memo had it.
+            from repro.perf.cache import MemoTraffic
+            traffic = MemoTraffic()
             mapping = self.mapping_for(vms)
             explainer.set_inputs(
                 p_on=mapping.p_on, p_off=mapping.p_off,
                 table_fingerprint=table_fingerprint(mapping),
-                cache_hit=cache_stats()["misses"] == misses_before,
+                cache_hit=traffic.misses == 0,
                 score_kind="reservation_headroom")
         ledger = ReservationLedger(pms, mapping)
         choose_for = getattr(self, "choose_for", None)

@@ -457,7 +457,6 @@ def _cmd_bench(args) -> int:
     heartbeats, timeouts, retries, quarantine, and the crash-safe journal.
     """
     from repro.perf.bench import iter_job_names, run_bench
-    from repro.perf.cache import cache_stats
 
     if args.list_jobs:
         for name in iter_job_names(args.filter):
@@ -544,11 +543,6 @@ def _cmd_bench(args) -> int:
         print(f"[recovery: {report.retried} retr"
               f"{'y' if report.retried == 1 else 'ies'}, "
               f"{len(report.quarantined)} quarantined]")
-    stats = cache_stats()
-    if stats["hits"] + stats["misses"]:
-        print(f"[mapcal cache: {stats['hits']:.0f} hits / "
-              f"{stats['misses']:.0f} misses "
-              f"(hit rate {stats['hit_rate']:.1%})]")
     for r in failed:
         print(f"FAILED {r.name}: {r.error}", file=sys.stderr)
     if interrupted:

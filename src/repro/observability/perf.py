@@ -701,22 +701,6 @@ def run_perf_sweep(
     result = PerfSweepResult(mode=mode, intervals=intervals,
                              repeats=repeats, seed=seed)
     attributor = PhaseAttributor()
-    from repro.perf.cache import fresh_cache
-
-    # A cold, isolated MapCal cache makes solve/hit span counts a pure
-    # function of (sweep, seed) — independent of whatever warmed the
-    # process-wide cache before us — which is what lets BENCH_PERF.json
-    # promise byte-identical reruns.
-    with fresh_cache():
-        _run_sweep_points(sizes, result, attributor, intervals=intervals,
-                          repeats=repeats, seed=seed, mode=mode,
-                          slow_phase=slow_phase, trace_memory=trace_memory,
-                          on_point=on_point)
-    return result
-
-
-def _run_sweep_points(sizes, result, attributor, *, intervals, repeats,
-                      seed, mode, slow_phase, trace_memory, on_point):
     for n_vms in sizes:
         # -- plain baseline (no telemetry at all) ---------------------- #
         scenario, n_pms = _build_scenario(n_vms, seed=seed, mode=mode,
@@ -786,3 +770,4 @@ def _run_sweep_points(sizes, result, attributor, *, intervals, repeats,
         result.points[n_vms] = point
         if on_point is not None:
             on_point(n_vms, point)
+    return result

@@ -1,11 +1,12 @@
-"""The fast path: caching, vectorization reference, parallel benchmarks.
+"""The fast path: cold-start isolation, vectorization reference, parallel
+benchmarks.
 
 Three pieces, one goal — make the full figure/ablation matrix cheap enough
 to iterate on:
 
-- :mod:`repro.perf.cache` — a content-addressed, optionally persistent
-  cache for MapCal/stationary solves (threaded through
-  :mod:`repro.core.mapcal` and :mod:`repro.core.heterogeneous`);
+- :mod:`repro.perf.cache` — :func:`~repro.perf.cache.fresh_cache`, which
+  empties the MapCal table memo for cold-build timing and counts its
+  traffic;
 - :mod:`repro.perf.reference` — the *scalar* per-VM/per-PM reference tick,
   kept as the ground truth the vectorized
   :class:`~repro.simulation.datacenter.Datacenter` fast path is verified
@@ -13,24 +14,12 @@ to iterate on:
 - :mod:`repro.perf.bench` — the parallel experiment runner behind
   ``python -m repro bench [--parallel N] [--filter GLOB]``.
 
-``bench`` is imported lazily: it pulls in the whole experiments package,
-which itself depends on the core modules that import the cache.
+Everything is imported lazily: ``bench`` pulls in the whole experiments
+package, and ``cache`` the core modules.
 """
 
-from repro.perf.cache import (
-    MapCalCache,
-    cache_stats,
-    configure_cache,
-    fresh_cache,
-    get_cache,
-)
-
 __all__ = [
-    "MapCalCache",
-    "cache_stats",
-    "configure_cache",
     "fresh_cache",
-    "get_cache",
     "ScalarReferenceDatacenter",
     "BenchJobResult",
     "iter_job_names",
@@ -39,6 +28,7 @@ __all__ = [
 ]
 
 _LAZY = {
+    "fresh_cache": "repro.perf.cache",
     "ScalarReferenceDatacenter": "repro.perf.reference",
     "BenchJobResult": "repro.perf.bench",
     "iter_job_names": "repro.perf.bench",

@@ -25,6 +25,28 @@ from repro.markov.binomial import binomial_pmf_table, busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain, StationaryMethod
 from repro.utils.validation import check_integer, check_probability
 
+#: Slack on Eq. (15)'s ``1 - rho`` target: a cumulative that misses it by
+#: rounding noise alone still meets it.
+TIE_SLACK = 1e-15
+
+
+def overflow_quantile(pmf: np.ndarray, rho: float) -> int:
+    """Least ``K`` with ``sum_{m <= K} pmf[m] >= 1 - rho`` (paper Eq. 15).
+
+    ``pmf`` is the stationary law of the ON count among ``k = len(pmf) - 1``
+    sources, so ``K`` lies in ``[0, k]``.  This is the one tie rule every
+    block count in the package uses (MapCal's binomial and chain routes,
+    the heterogeneous Poisson-binomial placer).  The target carries a
+    :data:`TIE_SLACK` so two routes whose cumulatives differ in the last
+    bits agree.  ``rho = 0`` asks for zero overflow, which only ``K = k``
+    guarantees: inside the slack a smaller ``K`` would pass on noise.
+    """
+    k = pmf.size - 1
+    if rho == 0.0:
+        return k
+    meets = np.flatnonzero(np.cumsum(pmf) >= 1.0 - rho - TIE_SLACK)
+    return int(meets[0]) if meets.size else k
+
 
 class FiniteSourceGeomGeomK:
     """Analytic model of ``k`` ON-OFF sources sharing ``K`` serving windows.
@@ -75,8 +97,9 @@ class FiniteSourceGeomGeomK:
 
         Because the k sources evolve independently and each source's
         stationary ON-probability is ``q = p_on/(p_on+p_off)``, the number of
-        ON sources at stationarity is binomial.  This provides an O(k)
-        analytic cross-check of the O(k^3) matrix solve.
+        ON sources at stationarity is binomial.  MapCal's default route
+        reads its block counts off this law; the O(k^3) matrix solve stays
+        as the paper-faithful oracle.
         """
         q = self.p_on / (self.p_on + self.p_off)
         return binomial_pmf_table(self.k, q)[self.k]
@@ -98,16 +121,12 @@ class FiniteSourceGeomGeomK:
                                  method: StationaryMethod = "linear") -> int:
         """Smallest ``K`` with overflow probability <= ``rho`` (paper Eq. 15).
 
-        Scans the cumulative stationary distribution; always returns a value
-        in ``[0, k]`` (K = k gives zero overflow by construction).
+        Scans the cumulative stationary distribution with
+        :func:`overflow_quantile`; always returns a value in ``[0, k]``
+        (K = k gives zero overflow by construction).
         """
         rho = check_probability(rho, "rho")
-        pi = self.stationary_distribution(method)
-        cumulative = np.cumsum(pi)
-        meets = np.flatnonzero(cumulative >= 1.0 - rho - 1e-15)
-        if meets.size == 0:  # pragma: no cover - cumulative reaches 1 at k
-            return self.k
-        return int(meets[0])
+        return overflow_quantile(self.stationary_distribution(method), rho)
 
     def expected_demand(self) -> float:
         """Stationary mean of ``theta(t)``: ``k * p_on / (p_on + p_off)``."""

@@ -90,9 +90,9 @@ class PlacementDecided(TelemetryEvent):
     The explainable companion of :class:`VMPlaced`: besides the winning
     ``chosen_pm`` it records *why* — the model inputs the placer reasoned
     from (the VM's estimated ``(p_on, p_off)``, the MapCal table
-    fingerprint and whether its solves came from the cache) and, for each
-    candidate PM kept after top-K truncation, a score and a typed verdict
-    (one of the stable reason strings in
+    fingerprint and whether the table memo already held that table) and,
+    for each candidate PM kept after top-K truncation, a score and a typed
+    verdict (one of the stable reason strings in
     :data:`repro.placement.base.PLACEMENT_REASONS`).  ``chosen_pm`` is -1
     when no PM was feasible (the decision that precedes an
     ``InsufficientCapacityError``).  Truncation is never silent:

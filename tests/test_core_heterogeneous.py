@@ -90,6 +90,22 @@ class TestHeterogeneousBlocks:
         vms = [vm(0.5, 0.5)] * 5
         assert heterogeneous_cvr(vms, 5) == 0.0
 
+    def test_rho_zero_needs_every_vm(self):
+        """No overflow at all is only guaranteed with one block per VM,
+        on the homogeneous (MapCal) and the Poisson-binomial route."""
+        uniform = [vm(0.01931259792359692, 0.6833661471090031)] * 13
+        mixed = [vm(0.01, 0.09), vm(0.02, 0.5), vm(0.001, 0.3)] * 5
+        assert heterogeneous_blocks(uniform, 0.0) == 13
+        assert heterogeneous_blocks(mixed, 0.0) == 15
+        assert heterogeneous_cvr(mixed, 15) == 0.0
+
+    def test_placer_reserves_every_vm_at_rho_zero(self):
+        vms = [vm(0.01, 0.09), vm(0.02, 0.5), vm(0.001, 0.3)] * 5
+        placer = HeterogeneousQueuingFFD(rho=0.0, d=16)
+        placement = placer.place(vms, [PMSpec(280.0)] * 2)
+        # K = k: each VM costs 10 base + 10 reserved, so 14 fit in 280
+        assert int(np.sum(placement.assignment == 0)) == 14
+
     def test_matches_simulation(self):
         """The exact stationary tail matches long-run simulation of a
         genuinely heterogeneous ensemble."""

@@ -58,9 +58,11 @@ class TestMapcal:
 
     @pytest.mark.parametrize("method", ["linear", "power", "eig"])
     def test_solver_methods_agree(self, method):
-        assert mapcal(10, P_ON, P_OFF, RHO, method=method) == mapcal(
-            10, P_ON, P_OFF, RHO, method="linear"
-        )
+        """The closed form equals the chain route under every chain solver."""
+        chain = FiniteSourceGeomGeomK(10, P_ON, P_OFF)
+        assert (mapcal(10, P_ON, P_OFF, RHO, method="binomial")
+                == mapcal(10, P_ON, P_OFF, RHO, method="chain")
+                == chain.min_windows_for_overflow(RHO, method))
 
     def test_agrees_with_simulation(self):
         """The reserved K truly bounds the simulated violation fraction."""
@@ -78,6 +80,24 @@ class TestMapcal:
             mapcal(-1, P_ON, P_OFF, RHO)
         with pytest.raises(ValueError):
             mapcal(3, P_ON, P_OFF, 1.5)
+
+    @pytest.mark.parametrize("p_on, p_off", [
+        (0.0, P_OFF), (P_ON, 0.0), (1.5, P_OFF), (P_ON, 1.5),
+        (float("nan"), P_OFF), (P_ON, float("nan")),
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 8])
+    def test_invalid_switch_probabilities(self, k, p_on, p_off):
+        with pytest.raises(ValueError):
+            mapcal(k, p_on, p_off, RHO)
+        with pytest.raises(ValueError):
+            mapcal_table(max(k, 1), p_on, p_off, RHO)
+
+    @pytest.mark.parametrize("method", ["linear", "power", "eig", "closed"])
+    def test_unknown_method(self, method):
+        with pytest.raises(ValueError, match="binomial"):
+            mapcal(4, P_ON, P_OFF, RHO, method=method)
+        with pytest.raises(ValueError, match="binomial"):
+            mapcal_table(4, P_ON, P_OFF, RHO, method=method)
 
 
 class TestMapcalTable:
@@ -116,3 +136,62 @@ class TestMapcalTable:
     def test_invalid_d(self):
         with pytest.raises(ValueError):
             mapcal_table(0, P_ON, P_OFF, RHO)
+
+
+RHO_CHOICES = (1.0, 0.5, 0.1, 0.01, 1e-3, 1e-6, None)  # None: uniform draw
+
+
+def _random_case(rng, max_d):
+    rho = RHO_CHOICES[rng.integers(len(RHO_CHOICES))]
+    return (int(rng.integers(1, max_d + 1)), float(rng.uniform(1e-3, 1.0)),
+            float(rng.uniform(1e-3, 1.0)),
+            float(rng.uniform(0.0, 1.0)) if rho is None else rho)
+
+
+class TestClosedFormParity:
+    """The binomial quantile against Alg. 1's chain solve (the oracle)."""
+
+    def test_tables_identical_on_random_cases(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            d, p_on, p_off, rho = _random_case(rng, 48)
+            closed = mapcal_table(d, p_on, p_off, rho)
+            chain = mapcal_table(d, p_on, p_off, rho, method="chain")
+            np.testing.assert_array_equal(
+                closed.table, chain.table, err_msg=f"{(d, p_on, p_off, rho)}")
+
+    def test_entries_identical_at_large_d(self):
+        """d up to 160: every chain table would take seconds, so each case
+        checks the last entry and four random ones."""
+        rng = np.random.default_rng(160)
+        for _ in range(40):
+            d, p_on, p_off, rho = _random_case(rng, 160)
+            d = max(d, 96)
+            closed = mapcal_table(d, p_on, p_off, rho)
+            for k in {d, *rng.integers(1, d + 1, 4).tolist()}:
+                chain = FiniteSourceGeomGeomK(k, p_on, p_off)
+                assert closed[k] == chain.min_windows_for_overflow(rho), (
+                    d, k, p_on, p_off, rho)
+
+    def test_paper_setting_table(self):
+        np.testing.assert_array_equal(
+            mapcal_table(64, P_ON, P_OFF, RHO).table,
+            mapcal_table(64, P_ON, P_OFF, RHO, method="chain").table)
+
+
+class TestRhoZero:
+    """rho = 0 allows no overflow at all, so every route needs K = k."""
+
+    @pytest.mark.parametrize("method", ["binomial", "chain"])
+    def test_mapcal_returns_k(self, method):
+        assert mapcal(13, 0.01931259792359692, 0.6833661471090031, 0.0,
+                      method=method) == 13
+
+    @pytest.mark.parametrize("method", ["binomial", "chain"])
+    def test_table_is_identity(self, method):
+        table = mapcal_table(16, P_ON, P_OFF, 0.0, method=method).table
+        np.testing.assert_array_equal(table, np.arange(17))
+
+    def test_chain_model_returns_k(self):
+        model = FiniteSourceGeomGeomK(16, P_ON, P_OFF)
+        assert model.min_windows_for_overflow(0.0) == 16

@@ -30,7 +30,7 @@ def synthetic_tree() -> Profiler:
     tick.count, tick.total_seconds = 2, 1.0
     demand = tick.child("phase.demand")
     demand.count, demand.total_seconds = 2, 0.30
-    solve = demand.child("mapcal.solve")  # unmapped -> inherits demand
+    solve = demand.child("mapcal.table")  # unmapped -> inherits demand
     solve.count, solve.total_seconds = 4, 0.10
     sched = tick.child("phase.scheduler")
     sched.count, sched.total_seconds = 2, 0.25
@@ -64,7 +64,7 @@ class TestPhaseAttribution:
         report = PhaseAttributor().attribute(synthetic_tree())
         assert "<root>" not in report.span_calls
         assert report.span_calls["migration.attempt"] == 3
-        assert report.span_calls["mapcal.solve"] == 4
+        assert report.span_calls["mapcal.table"] == 4
         assert report.span_errors == {"migration.attempt": 1}
 
     def test_fractions_and_table(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.markov.onoff import OnOffChain
-from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK, overflow_quantile
 
 
 @pytest.fixture
@@ -133,3 +133,23 @@ class TestLossSystem:
             model.loss_system_kernel(0)
         with pytest.raises(ValueError):
             model.loss_system_kernel(11)
+
+
+class TestOverflowQuantile:
+    def test_rho_zero_returns_k(self):
+        # cumulative reaches 1 - 1e-15 at K = 1: inside the tie slack
+        pmf = np.array([0.9, 0.1 - 1e-15, 1e-15])
+        assert overflow_quantile(pmf, 0.0) == 2
+
+    def test_unchanged_for_positive_rho(self):
+        """The shared helper is the tie rule the scans used before it."""
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            pmf = rng.dirichlet(np.full(int(rng.integers(1, 40)), 0.3))
+            rho = float(rng.choice([1.0, 0.5, 0.01, 1e-6, rng.uniform()]))
+            meets = np.flatnonzero(np.cumsum(pmf) >= 1.0 - rho - 1e-15)
+            expected = int(meets[0]) if meets.size else pmf.size - 1
+            assert overflow_quantile(pmf, rho) == expected
+
+    def test_falls_back_to_k_when_cumulative_falls_short(self):
+        assert overflow_quantile(np.array([0.5, 0.4]), 1e-3) == 1
