@@ -171,8 +171,10 @@ class ReservationLedger:
     Mirrors ``states`` (one :class:`PMReservationState` per PM, which does
     the bookkeeping and keeps the hosted specs) into per-PM ``count``,
     ``base_sum`` and ``max_extra`` arrays next to ``capacity``, so an
-    admission test over ``m`` PMs is one vectorized :meth:`need` and
-    first-fit costs O(m) NumPy work instead of an O(m) Python loop.
+    admission test over ``m`` PMs is one vectorized :meth:`need`.  First
+    fit runs it only below the high-water mark (one past the highest PM
+    ever used), so a batch of ``n`` VMs costs O(n * hw) NumPy work instead
+    of O(n * m).
     """
 
     def __init__(self, pms: Sequence[PMSpec], mapping: BlockMapping):
@@ -182,6 +184,9 @@ class ReservationLedger:
         self.count = np.zeros(m, dtype=np.int64)
         self.base_sum = np.zeros(m, dtype=float)
         self.max_extra = np.zeros(m, dtype=float)
+        #: one past the highest PM that ever hosted a VM: only :meth:`add`
+        #: moves it (upward), so every PM from here on is empty
+        self._hw = 0
         self.set_mapping(mapping)
 
     def set_mapping(self, mapping: BlockMapping) -> None:
@@ -213,9 +218,24 @@ class ReservationLedger:
         return fit
 
     def first_fit(self, vm: VMSpec, mask: np.ndarray | None = None) -> int:
-        """Lowest-indexed PM admitting ``vm`` among ``mask``, or -1."""
-        fit = self.fit_mask(vm, mask)
-        return int(fit.argmax()) if fit.any() else -1
+        """Lowest-indexed PM admitting ``vm`` among ``mask``, or -1.
+
+        Runs Eq. (17) on the arrays only below the high-water mark; every
+        PM from ``_hw`` on is empty, so one scalar need covers that suffix
+        (it rounds exactly like the array form with zero aggregates).
+        """
+        hw = self._hw
+        fit = eq17_need(vm, self._next_blocks[self.count[:hw]],
+                        self.base_sum[:hw], self.max_extra[:hw]
+                        ) <= self._limit[:hw]
+        if mask is not None:
+            fit &= mask[:hw]
+        if fit.any():
+            return int(fit.argmax())
+        fit = eq17_need(vm, self._next_blocks[0], 0.0, 0.0) <= self._limit[hw:]
+        if mask is not None:
+            fit &= mask[hw:]
+        return hw + int(fit.argmax()) if fit.any() else -1
 
     def feasible(self, vm: VMSpec, mask: np.ndarray | None = None) -> list[int]:
         """Every PM index admitting ``vm`` among ``mask``, ascending."""
@@ -258,6 +278,7 @@ class ReservationLedger:
         """Host ``vm`` on PM ``j`` (the caller has run the Eq. (17) test)."""
         self.states[j].add(vm_id, vm)
         self._sync(j)
+        self._hw = max(self._hw, j + 1)
 
     def remove(self, j: int, vm_id: int) -> VMSpec:
         """Evict VM ``vm_id`` from PM ``j``."""

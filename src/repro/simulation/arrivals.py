@@ -176,8 +176,9 @@ class DynamicFleetSimulator:
                 vm = self._live[vid]
                 demand = vm.spec.demand(vm.on)
                 current = self.pm_loads()
-                order = np.argsort(current)
-                for cand in order:
+                # least loaded first, lowest index on ties: the default
+                # (unstable) sort orders ties differently by SIMD level
+                for cand in np.argsort(current, kind="stable"):
                     cand = int(cand)
                     if cand == pm_idx:
                         continue

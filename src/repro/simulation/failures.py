@@ -10,12 +10,17 @@ emergency evacuation.  This module injects failures into a run:
   fault domains (racks / power feeds) fail *together* with
   ``domain_failure_probability`` — the correlated events that dominate real
   outages and that independent per-PM models understate;
-- a failed PM's VMs must be *evacuated* — re-placed immediately on healthy
-  PMs by first fit over current demand; when a VM fits nowhere at full
-  demand it is **degraded**: throttled to its base demand ``R_b`` and placed
-  wherever that fits (``degrade_stranded``).  Only VMs that fit nowhere even
-  at ``R_b`` are counted as ``stranded`` for that interval (they retry next
-  interval);
+- a failed PM's VMs must be *evacuated* — re-placed immediately, in VM-id
+  order, on the **least-loaded healthy PM** whose current load plus the
+  VM's demand fits its capacity, the **lowest PM index** breaking ties
+  (the first hit of a scan in stable load order).  The rule is one
+  vectorized pass and does not depend on the host: numpy's default
+  unstable sort orders tied loads differently by SIMD level, so a scan over
+  it would pick different targets on different CPUs.  When a VM fits
+  nowhere at full demand it is **degraded**: throttled to its base demand
+  ``R_b`` and placed wherever that fits (``degrade_stranded``).  Only VMs
+  that fit nowhere even at ``R_b`` are counted as ``stranded`` for that
+  interval (they retry next interval);
 - a failed PM recovers after a geometric repair time once its domain is
   healthy again; a failed domain recovers with ``domain_repair_probability``.
 
@@ -187,7 +192,7 @@ class FailureInjector:
 
     # ------------------------------------------------------------------ #
     def _evacuate(self, pm_id: int, time: int = 0) -> None:
-        """First-fit the failed PM's VMs onto healthy PMs (by current demand).
+        """Move the failed PM's VMs onto healthy PMs (by current demand).
 
         VMs that fit nowhere at full demand are throttled to ``R_b`` and
         retried (graceful degradation) when ``degrade_stranded`` is set;
@@ -195,7 +200,7 @@ class FailureInjector:
         """
         vm_ids = sorted(self.dc.pms[pm_id].vm_ids)
         demands = self.dc.vm_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         for vm_id in vm_ids:
             if self._place_off(vm_id, pm_id, float(demands[vm_id]),
@@ -227,41 +232,45 @@ class FailureInjector:
     def _place_off(self, vm_id: int, pm_id: int, demand: float,
                    caps: np.ndarray, loads: np.ndarray, *,
                    degrade: bool = False, time: int = 0) -> bool:
-        """Try to move ``vm_id`` off ``pm_id`` at ``demand``; updates loads."""
+        """Try to move ``vm_id`` off ``pm_id`` at ``demand``; updates loads.
+
+        The target is the least-loaded healthy PM other than ``pm_id`` that
+        fits ``demand``, the lowest index on ties.
+        """
+        fits = (loads + demand <= caps + _EPS) & ~self.failed
+        fits[pm_id] = False
+        eligible = np.flatnonzero(fits)
+        if not eligible.size:
+            return False
+        cand = int(eligible[np.argmin(loads[eligible])])
         tel = self.telemetry
-        for cand in np.argsort(loads):
-            cand = int(cand)
-            if cand == pm_id or self.failed[cand]:
-                continue
-            if loads[cand] + demand <= caps[cand] + _EPS:
-                if degrade:
-                    self.dc.set_throttle(vm_id, True)
-                    self._degraded.add(vm_id)
-                    self.record.degraded_evacuations += 1
-                    self._log_limit.warning(
-                        logger, "failures", "vm_degraded", time,
-                        "VM %d degraded to base demand to fit on PM %d "
-                        "at interval %d", vm_id, cand, time,
-                    )
-                    if tel is not None:
-                        self._m_degraded.inc()
-                        if tel.events.enabled:
-                            tel.emit(DegradationApplied(
-                                time=time, vm_id=vm_id, pm_id=cand))
-                self.dc.migrate(vm_id, cand)
-                loads[cand] += demand
-                loads[pm_id] -= demand
-                self.record.evacuations += 1
-                if tel is not None:
-                    self._m_evac.inc()
-                return True
-        return False
+        if degrade:
+            self.dc.set_throttle(vm_id, True)
+            self._degraded.add(vm_id)
+            self.record.degraded_evacuations += 1
+            self._log_limit.warning(
+                logger, "failures", "vm_degraded", time,
+                "VM %d degraded to base demand to fit on PM %d "
+                "at interval %d", vm_id, cand, time,
+            )
+            if tel is not None:
+                self._m_degraded.inc()
+                if tel.events.enabled:
+                    tel.emit(DegradationApplied(
+                        time=time, vm_id=vm_id, pm_id=cand))
+        self.dc.migrate(vm_id, cand)
+        loads[cand] += demand
+        loads[pm_id] -= demand
+        self.record.evacuations += 1
+        if tel is not None:
+            self._m_evac.inc()
+        return True
 
     def _retry_stranded(self, time: int = 0) -> None:
         if not self._stranded:
             return
         demands = self.dc.vm_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         tel = self.telemetry
         traced = tel is not None and tel.events.enabled
@@ -295,7 +304,7 @@ class FailureInjector:
             return
         served = self.dc.vm_demands()
         full = self.dc.vm_full_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         tel = self.telemetry
         for vm_id in sorted(self._degraded):
@@ -398,7 +407,7 @@ class FailureInjector:
                         self._evacuate(int(pm_id), time)
 
         # independent per-PM crashes (powered-on PMs only)
-        powered = np.array([p.is_used for p in self.dc.pms])
+        powered = self.dc.pm_used_mask()
         crashing = (~self.failed & powered
                     & (self._rng.random(self.dc.n_pms)
                        < self.failure_probability))

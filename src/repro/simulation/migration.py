@@ -42,9 +42,11 @@ import numpy as np
 from repro.placement.base import (
     REASON_BLACKLISTED,
     REASON_CAPACITY,
+    REASON_CHOSEN,
     REASON_CRASHED,
     REASON_FEASIBLE,
     REASON_SOURCE,
+    VERDICTS,
 )
 from repro.simulation.datacenter import Datacenter
 from repro.telemetry import (
@@ -125,51 +127,67 @@ def select_vm_min_sufficient(dc: Datacenter, pm_id: int) -> int:
 # --------------------------------------------------------------------- #
 # target selection
 # --------------------------------------------------------------------- #
-def _feasible_mask(dc: Datacenter, vm_id: int, source_pm: int,
+def _feasible_mask(dc: Datacenter, loads: np.ndarray, vm_id: int,
+                   source_pm: int,
                    excluded: Optional[np.ndarray] = None) -> np.ndarray:
     """PMs (other than the source) that can fit the VM's current demand.
 
-    ``excluded`` is an optional boolean veto mask (crashed or blacklisted
-    PMs) applied on top of the capacity check.
+    ``loads`` is ``dc.pm_loads()``; ``excluded`` is an optional boolean veto
+    mask (crashed or blacklisted PMs) applied on top of the capacity check.
     """
-    loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
     demand = dc.vm_demands()[vm_id]
-    ok = loads + demand <= caps + _EPS
+    ok = loads + demand <= dc.pm_capacities() + _EPS
     ok[source_pm] = False
     if excluded is not None:
         ok &= ~np.asarray(excluded, dtype=bool)
     return ok
 
 
+def _prefer_used(dc: Datacenter, ok: np.ndarray,
+                 key: np.ndarray) -> Optional[int]:
+    """The feasible used PM minimizing ``key``, else the first feasible
+    idle PM (powering one on is the last resort), else None."""
+    used = dc.pm_used_mask()
+    used_candidates = np.flatnonzero(ok & used)
+    if used_candidates.size:
+        return int(used_candidates[np.argmin(key[used_candidates])])
+    idle_candidates = np.flatnonzero(ok & ~used)
+    if idle_candidates.size:
+        return int(idle_candidates[0])
+    return None
+
+
+#: verdict codes of a migration decision (indices into ``VERDICTS``);
+#: :func:`explain_targets` emits all but ``CHOSEN``
+CHOSEN, FEASIBLE, CAPACITY, CRASHED, BLACKLISTED, SOURCE = (
+    VERDICTS.index(reason) for reason in (
+        REASON_CHOSEN, REASON_FEASIBLE, REASON_CAPACITY, REASON_CRASHED,
+        REASON_BLACKLISTED, REASON_SOURCE))
+
+
 def explain_targets(dc: Datacenter, vm_id: int, source_pm: int, *,
                     crashed: Optional[np.ndarray] = None,
                     blacklisted: Optional[np.ndarray] = None,
-                    ) -> tuple[list[str], list[float]]:
-    """Per-PM verdicts/scores for one migration target decision.
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-PM verdict codes and scores for one migration target decision.
 
     Mirrors :func:`_feasible_mask` but keeps the *reason* each PM was
-    vetoed (source > crashed > blacklisted > capacity); the score is the
-    residual capacity the PM would retain after hosting the VM.  Feeds
+    vetoed (source > crashed > blacklisted > capacity) as an integer code
+    indexing :data:`repro.placement.VERDICTS`; the score is the residual
+    capacity the PM would retain after hosting the VM.  Feeds
     ``MigrationDecided`` provenance events.
     """
-    loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
-    demand = dc.vm_demands()[vm_id]
-    residual = caps - loads - demand
-    verdicts: list[str] = []
-    for j in range(caps.size):
-        if j == source_pm:
-            verdicts.append(REASON_SOURCE)
-        elif crashed is not None and crashed[j]:
-            verdicts.append(REASON_CRASHED)
-        elif blacklisted is not None and blacklisted[j]:
-            verdicts.append(REASON_BLACKLISTED)
-        elif residual[j] < -_EPS:
-            verdicts.append(REASON_CAPACITY)
-        else:
-            verdicts.append(REASON_FEASIBLE)
-    return verdicts, residual.tolist()
+    caps = dc.pm_capacities()
+    residual = caps - dc.pm_loads() - dc.vm_demands()[vm_id]
+    never = np.zeros(caps.size, dtype=bool)
+    codes = np.select(
+        [np.arange(caps.size) == source_pm,
+         never if crashed is None else np.asarray(crashed, dtype=bool),
+         never if blacklisted is None else np.asarray(blacklisted,
+                                                      dtype=bool),
+         residual < -_EPS],
+        [SOURCE, CRASHED, BLACKLISTED, CAPACITY], FEASIBLE)
+    return codes, residual
 
 
 def select_target_least_loaded(dc: Datacenter, vm_id: int,
@@ -182,16 +200,9 @@ def select_target_least_loaded(dc: Datacenter, vm_id: int,
     powers on an idle PM only if no used PM fits.  Returns None when nothing
     fits anywhere.
     """
-    ok = _feasible_mask(dc, vm_id, source_pm, excluded)
     loads = dc.pm_loads()
-    used = np.array([p.is_used for p in dc.pms])
-    used_candidates = np.flatnonzero(ok & used)
-    if used_candidates.size:
-        return int(used_candidates[np.argmin(loads[used_candidates])])
-    idle_candidates = np.flatnonzero(ok & ~used)
-    if idle_candidates.size:
-        return int(idle_candidates[0])
-    return None
+    ok = _feasible_mask(dc, loads, vm_id, source_pm, excluded)
+    return _prefer_used(dc, ok, loads)
 
 
 def select_target_most_free(dc: Datacenter, vm_id: int,
@@ -199,18 +210,10 @@ def select_target_most_free(dc: Datacenter, vm_id: int,
                             excluded: Optional[np.ndarray] = None,
                             ) -> Optional[int]:
     """Variant ranking used PMs by absolute free room instead of load."""
-    ok = _feasible_mask(dc, vm_id, source_pm, excluded)
     loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
-    used = np.array([p.is_used for p in dc.pms])
-    used_candidates = np.flatnonzero(ok & used)
-    if used_candidates.size:
-        free = caps[used_candidates] - loads[used_candidates]
-        return int(used_candidates[np.argmax(free)])
-    idle_candidates = np.flatnonzero(ok & ~used)
-    if idle_candidates.size:
-        return int(idle_candidates[0])
-    return None
+    ok = _feasible_mask(dc, loads, vm_id, source_pm, excluded)
+    # most free room == least (load - capacity)
+    return _prefer_used(dc, ok, loads - dc.pm_capacities())
 
 
 def select_target_reservation_aware(
@@ -226,25 +229,11 @@ def select_target_reservation_aware(
     does not fluctuate with spikes) at the price of opening idle PMs sooner.
     """
     base_loads = dc.pm_base_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
-    demand_now = dc.vm_demands()[vm_id]
+    caps = dc.pm_capacities()
     base_vm = dc.vms[vm_id].spec.r_base
-    loads = dc.pm_loads()
-    ok = (
-        (base_loads + base_vm <= caps * (1.0 - headroom_fraction) + _EPS)
-        & (loads + demand_now <= caps + _EPS)
-    )
-    ok[source_pm] = False
-    if excluded is not None:
-        ok &= ~np.asarray(excluded, dtype=bool)
-    used = np.array([p.is_used for p in dc.pms])
-    used_candidates = np.flatnonzero(ok & used)
-    if used_candidates.size:
-        return int(used_candidates[np.argmin(base_loads[used_candidates])])
-    idle_candidates = np.flatnonzero(ok & ~used)
-    if idle_candidates.size:
-        return int(idle_candidates[0])
-    return None
+    ok = (_feasible_mask(dc, dc.pm_loads(), vm_id, source_pm, excluded)
+          & (base_loads + base_vm <= caps * (1.0 - headroom_fraction) + _EPS))
+    return _prefer_used(dc, ok, base_loads)
 
 
 @dataclass

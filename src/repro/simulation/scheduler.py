@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.types import Placement, PMSpec, VMSpec
+from repro.placement.base import VERDICTS, truncate_candidates
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.engine import SimulationEngine
-from repro.placement.base import REASON_CHOSEN, truncate_candidates
 from repro.simulation.migration import (
+    CHOSEN,
     MigrationEvent,
     MigrationExecutor,
     MigrationPolicy,
@@ -190,13 +191,13 @@ class DynamicScheduler:
         tel = self.telemetry
         crashed = (np.asarray(self.excluded_pms_fn(), dtype=bool)
                    if self.excluded_pms_fn is not None else None)
-        verdicts, scores = explain_targets(
+        codes, scores = explain_targets(
             self.dc, vm_id, source_pm, crashed=crashed,
             blacklisted=self.executor.blacklisted_mask(time))
         chosen = -1 if target is None else int(target)
         if chosen >= 0:
-            verdicts[chosen] = REASON_CHOSEN
-        keep, dropped = truncate_candidates(verdicts, chosen)
+            codes[chosen] = CHOSEN
+        keep, dropped = truncate_candidates(codes, chosen)
         if dropped:
             tel.metrics.counter(
                 "decisions_dropped_total",
@@ -210,9 +211,9 @@ class DynamicScheduler:
             policy=getattr(self.policy, "name", type(self.policy).__name__),
             cand_pms=tuple(keep),
             cand_scores=tuple(round(float(scores[i]), 6) for i in keep),
-            cand_verdicts=tuple(verdicts[i] for i in keep),
+            cand_verdicts=tuple(VERDICTS[codes[i]] for i in keep),
             dropped_candidates=int(dropped),
-            total_pms=len(verdicts),
+            total_pms=len(codes),
         ))
 
     # ------------------------------------------------------------------ #

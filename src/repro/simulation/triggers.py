@@ -88,9 +88,8 @@ class SlidingWindowCVRTrigger:
                 f"datacenter has {dc.n_pms} PMs but trigger was built for "
                 f"{self.n_pms}"
             )
-        loads = dc.pm_loads()
-        caps = np.array([p.spec.capacity for p in dc.pms])
-        self._flags[:, self._cursor] = loads > caps + _EPS
+        self._flags[:, self._cursor] = (dc.pm_loads()
+                                        > dc.pm_capacities() + _EPS)
         self._cursor = (self._cursor + 1) % self.window
         self._filled = min(self._filled + 1, self.window)
 

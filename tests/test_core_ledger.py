@@ -248,3 +248,95 @@ def test_empty_fleet_has_no_first_fit():
     vm = VMSpec(0.1, 0.5, 1.0, 1.0)
     assert ledger.first_fit(vm) == -1
     assert ledger.feasible(vm) == []
+
+
+def churned_fleet(rng):
+    """(ledger, candidate VMs) after random admissions and departures.
+
+    Admissions go to a random feasible PM, so occupancy is scattered and
+    departures leave empty holes below the high-water mark.  Capacities
+    are heterogeneous: some PMs are too small for any candidate, and a
+    third sit exactly at one candidate's empty-PM need (an exact tie).
+    """
+    d = int(rng.choice([2, 4, 8]))
+    mapping = mapcal_table(d, 0.1, float(rng.choice([0.3, 0.5, 0.9])), 0.01)
+    candidates = [VMSpec(0.1, 0.5, float(rng.choice(SIZES)),
+                         float(rng.choice(SIZES))) for _ in range(4)]
+    empty_needs = [float(reservation.eq17_need(vm, mapping.table[1], 0.0, 0.0))
+                   for vm in candidates]
+    caps = []
+    for j in range(int(rng.integers(1, 40))):
+        roll = rng.random()
+        caps.append(empty_needs[j % 4] if roll < 0.33
+                    else float(rng.uniform(0.2, 1.0)) if roll < 0.55
+                    else float(rng.uniform(2.0, 40.0)))
+    ledger = ReservationLedger([PMSpec(c) for c in caps], mapping)
+    hosted: list[tuple[int, int]] = []
+    for vm_id in range(int(rng.integers(0, 4 * len(caps)))):
+        if hosted and rng.random() < 0.35:
+            j, gone = hosted.pop(int(rng.integers(len(hosted))))
+            ledger.remove(j, gone)
+            continue
+        vm = VMSpec(0.1, 0.5, float(rng.choice(SIZES)),
+                    float(rng.choice(SIZES)))
+        feasible = ledger.feasible(vm)
+        if feasible:
+            j = int(rng.choice(feasible))
+            ledger.add(j, vm_id, vm)
+            hosted.append((j, vm_id))
+    return ledger, candidates
+
+
+def full_width_first_fit(ledger, vm, mask):
+    fit = ledger.fit_mask(vm, mask)
+    return int(fit.argmax()) if fit.any() else -1
+
+
+def test_high_water_first_fit_matches_the_full_width_scan():
+    """``first_fit`` scans Eq. (17) only below the high-water mark and
+    answers the all-empty suffix with one scalar need; the pick must equal
+    the full-width ``fit_mask(...).argmax()`` on every fleet."""
+    seen = {"suffix": 0, "suffix_skips_small": 0, "hole": 0, "capped": 0,
+            "tie": 0, "none": 0}
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        ledger, vms = churned_fleet(rng)
+        m = ledger.count.size
+        used = np.flatnonzero(ledger.count)
+        hw = int(used[-1]) + 1 if used.size else 0
+        seen["capped"] += int(np.any(ledger.count == ledger.mapping.d))
+        for vm in vms:
+            for mask in (None, rng.random(m) < 0.6):
+                want = full_width_first_fit(ledger, vm, mask)
+                assert ledger.first_fit(vm, mask) == want
+                if want < 0:
+                    seen["none"] += 1
+                    continue
+                need = float(ledger.need(vm)[want])
+                seen["tie"] += need == ledger.capacity[want]
+                seen["hole"] += bool(want < hw and ledger.count[want] == 0)
+                if want >= hw:
+                    seen["suffix"] += 1
+                    seen["suffix_skips_small"] += bool(
+                        want > hw and np.any(ledger.need(vm)[hw:want]
+                                             > ledger.capacity[hw:want]))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_high_water_mark_survives_departures():
+    """A PM emptied by departures stays below the mark and is still found
+    by the array scan, not skipped as part of the empty suffix."""
+    mapping = mapcal_table(4, 0.1, 0.5, 0.01)
+    ledger = ReservationLedger([PMSpec(10.0)] * 3 + [PMSpec(1.0)] * 3,
+                               mapping)
+    big, small = VMSpec(0.1, 0.5, 6.0, 1.0), VMSpec(0.1, 0.5, 0.5, 0.2)
+    ledger.add(0, 0, big)
+    ledger.add(2, 1, big)
+    ledger.remove(2, 1)
+    assert ledger.first_fit(big) == 1
+    ledger.add(1, 2, big)
+    assert ledger.first_fit(big) == 2           # emptied hole below the mark
+    ledger.add(2, 3, big)
+    assert ledger.first_fit(big) == -1          # suffix PMs are too small
+    assert ledger.first_fit(small) == 0
+    assert ledger.first_fit(small, np.arange(6) >= 3) == 3

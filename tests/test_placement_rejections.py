@@ -24,6 +24,7 @@ from repro.placement.base import (
     REASON_SOURCE,
     REASON_SPREAD,
     REASON_VM_CAP,
+    VERDICTS,
     InsufficientCapacityError,
     truncate_candidates,
 )
@@ -44,7 +45,12 @@ from repro.placement.spread import DomainSpreadConstraint
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.migration import explain_targets
 from repro.simulation.topology import Topology
-from repro.telemetry import PlacementDecided, RingBufferSink, Telemetry
+from repro.telemetry import (
+    MigrationDecided,
+    PlacementDecided,
+    RingBufferSink,
+    Telemetry,
+)
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -252,8 +258,9 @@ class TestMigrationRejections:
         dc = self._dc()
         crashed = np.array([False, True, False, False])
         blacklisted = np.array([False, False, True, False])
-        verdicts, scores = explain_targets(dc, 0, 0, crashed=crashed,
-                                           blacklisted=blacklisted)
+        codes, scores = explain_targets(dc, 0, 0, crashed=crashed,
+                                        blacklisted=blacklisted)
+        verdicts = [VERDICTS[c] for c in codes]
         assert verdicts[0] == REASON_SOURCE
         assert verdicts[1] == REASON_CRASHED
         assert verdicts[2] == REASON_BLACKLISTED
@@ -266,9 +273,117 @@ class TestMigrationRejections:
         pm_list = pms(100, 100, 100, 12)
         placement = Placement(3, 4, assignment=np.array([0, 0, 1]))
         dc = Datacenter(big, pm_list, placement, seed=0)
-        verdicts, scores = explain_targets(dc, 0, 0)
-        assert verdicts[3] == REASON_CAPACITY  # 50 > 12
+        codes, scores = explain_targets(dc, 0, 0)
+        assert VERDICTS[codes[3]] == REASON_CAPACITY  # 50 > 12
         assert scores[3] < 0
+
+
+def explain_targets_reference(dc, vm_id, source_pm, *, crashed=None,
+                              blacklisted=None):
+    """The per-PM Python loop ``explain_targets`` replaced: verdict strings
+    (source > crashed > blacklisted > capacity) and residual scores."""
+    loads = dc.pm_loads()
+    caps = np.array([p.spec.capacity for p in dc.pms])
+    residual = caps - loads - dc.vm_demands()[vm_id]
+    verdicts = []
+    for j in range(caps.size):
+        if j == source_pm:
+            verdicts.append(REASON_SOURCE)
+        elif crashed is not None and crashed[j]:
+            verdicts.append(REASON_CRASHED)
+        elif blacklisted is not None and blacklisted[j]:
+            verdicts.append(REASON_BLACKLISTED)
+        elif residual[j] < -1e-9:
+            verdicts.append(REASON_CAPACITY)
+        else:
+            verdicts.append(REASON_FEASIBLE)
+    return verdicts, residual.tolist()
+
+
+def emit_decision_reference(self, decision_id, time, vm_id, source_pm,
+                            target):
+    """``DynamicScheduler._emit_decision`` as it was, on verdict strings."""
+    tel = self.telemetry
+    crashed = (np.asarray(self.excluded_pms_fn(), dtype=bool)
+               if self.excluded_pms_fn is not None else None)
+    verdicts, scores = explain_targets_reference(
+        self.dc, vm_id, source_pm, crashed=crashed,
+        blacklisted=self.executor.blacklisted_mask(time))
+    chosen = -1 if target is None else int(target)
+    if chosen >= 0:
+        verdicts[chosen] = REASON_CHOSEN
+    keep, dropped = truncate_candidates(verdicts, chosen)
+    if dropped:
+        tel.metrics.counter(
+            "decisions_dropped_total",
+            "candidate rows truncated from decision events").inc(dropped)
+    tel.emit(MigrationDecided(
+        time=time, decision_id=decision_id, vm_id=int(vm_id),
+        source_pm=int(source_pm), chosen_pm=chosen,
+        policy=getattr(self.policy, "name", type(self.policy).__name__),
+        cand_pms=tuple(keep),
+        cand_scores=tuple(round(float(scores[i]), 6) for i in keep),
+        cand_verdicts=tuple(verdicts[i] for i in keep),
+        dropped_candidates=int(dropped), total_pms=len(verdicts)))
+
+
+class TestMigrationVerdictOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_codes_match_the_string_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_vms, n_pms = 30, 12
+        vms = [vm(float(rng.choice([2.0, 5.0, 10.0])),
+                  float(rng.choice([0.0, 5.0]))) for _ in range(n_vms)]
+        pm_list = pms(*rng.choice([20.0, 40.0, 60.0], n_pms))
+        placement = Placement(n_vms, n_pms,
+                              assignment=rng.integers(0, n_pms // 2, n_vms))
+        dc = Datacenter(vms, pm_list, placement, seed=seed,
+                        start_stationary=True)
+        for vm_id in range(0, n_vms, 3):
+            source = dc.placement.pm_of(vm_id)
+            for crashed, blacklisted in (
+                    (None, None),
+                    (rng.random(n_pms) < 0.3, None),
+                    (rng.random(n_pms) < 0.3, rng.random(n_pms) < 0.3)):
+                codes, scores = explain_targets(
+                    dc, vm_id, source, crashed=crashed,
+                    blacklisted=blacklisted)
+                verdicts, ref_scores = explain_targets_reference(
+                    dc, vm_id, source, crashed=crashed,
+                    blacklisted=blacklisted)
+                assert [VERDICTS[c] for c in codes] == verdicts
+                assert scores.tolist() == ref_scores
+
+    def test_migration_decided_events_match_the_string_path(self,
+                                                            monkeypatch):
+        from repro.simulation.migration import RetryPolicy
+        from repro.simulation.scenario import Scenario
+        from repro.simulation.scheduler import DynamicScheduler
+        from repro.workload.patterns import generate_pattern_instance
+
+        # 13 PMs is QueuingFFD's own count for this instance: a full fleet,
+        # so vetoed PMs survive the top-K truncation
+        vms, pm_list = generate_pattern_instance("large", 80, seed=5)
+
+        def decisions():
+            sink = RingBufferSink()
+            tel = Telemetry(sink)
+            Scenario(vms, pm_list[:13], placer=QueuingFFD(rho=0.01, d=16),
+                     failures={"failure_probability": 0.03},
+                     migration_failure_probability=0.5,
+                     retry_policy=RetryPolicy(blacklist_threshold=1),
+                     start_stationary=True, telemetry=tel).run(100, seed=2)
+            return [e.to_dict() for e in sink.events
+                    if isinstance(e, MigrationDecided)]
+
+        fast = decisions()
+        monkeypatch.setattr(DynamicScheduler, "_emit_decision",
+                            emit_decision_reference)
+        assert fast == decisions()
+        seen = {v for e in fast for v in e["cand_verdicts"]}
+        assert seen == {REASON_CHOSEN, REASON_FEASIBLE, REASON_CAPACITY,
+                        REASON_CRASHED, REASON_BLACKLISTED, REASON_SOURCE}
+        assert any(e["chosen_pm"] == -1 for e in fast)
 
 
 class TestCandidateTruncation:

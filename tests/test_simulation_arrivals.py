@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
-from repro.simulation.arrivals import DynamicFleetSimulator
+from repro.simulation.arrivals import (
+    DynamicFleetRecord,
+    DynamicFleetSimulator,
+    _LiveVM,
+)
 
 
 def fleet(n=20, cap=100.0):
@@ -107,6 +111,23 @@ class TestRun:
         )
         record = sim.run(200)
         assert record.migrations + record.violations > 0
+
+    def test_overflow_moves_to_lowest_index_of_tied_empty_pms(self):
+        # 400 PMs: large enough that numpy's default (unstable) argsort
+        # scatters the 398 zero-load ties
+        sim = DynamicFleetSimulator(fleet(n=400, cap=60.0),
+                                    QueuingFFD(rho=0.5, d=16), seed=0)
+        spec = VMSpec(0.2, 0.2, 10.0, 30.0)
+        sim._ensure_states(spec)
+        for pm in (0, 0, 2):
+            vm_id = sim._next_id
+            sim._next_id += 1
+            sim._states[pm].add(vm_id, spec)
+            sim._live[vm_id] = _LiveVM(spec=spec, pm=pm, on=True)
+        record = DynamicFleetRecord(n_intervals=1)
+        sim._resolve_overflows(record)
+        assert record.migrations == 1
+        assert sorted(vm.pm for vm in sim._live.values()) == [0, 1, 2]
 
     def test_invalid_intervals(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Tests for repro.simulation.failures — PM crash injection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,9 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.failures import FailureInjector
 from repro.workload.patterns import generate_pattern_instance
+from tests.failures_oracle import evacuate_reference
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def vm(base, extra=0.0):
@@ -125,6 +133,105 @@ class TestFailureInjector:
             a.step(t)
             b.step(t)
         assert a.record == b.record
+
+
+class TestEvacuationTarget:
+    """The vectorized target pick against the stable-order scan oracle."""
+
+    def test_tied_empty_pms_fill_lowest_index_first(self):
+        # 400 PMs: large enough that numpy's default (unstable) argsort
+        # scatters the 399 zero-load ties
+        dc = simple_dc(n_vms=3, n_pms=400)
+        inj = FailureInjector(dc, failure_probability=0.0, seed=0)
+        inj.failed[[0, 2]] = True
+        inj._evacuate(0)
+        assert [dc.placement.pm_of(v) for v in range(3)] == [1, 3, 4]
+
+    def test_matches_the_stable_scan_oracle(self):
+        outcomes = set()
+        for seed in range(12):
+            outcomes |= self._evacuate_against_oracle(seed)
+        assert outcomes == {"tie", "used", "degraded", "stranded"}
+
+    @staticmethod
+    def _evacuate_against_oracle(seed):
+        rng = np.random.default_rng(seed)
+        n_vms, n_pms = 480, 360
+        vms = [VMSpec(0.2, 0.3, float(rng.choice([4.0, 8.0, 12.0])),
+                      float(rng.choice([0.0, 4.0, 40.0])))
+               for _ in range(n_vms)]
+        pms = [PMSpec(float(c)) for c in rng.choice([20.0, 40.0, 60.0], n_pms)]
+        # a quarter of the fleet is used; the rest are zero-load ties
+        placement = Placement(n_vms, n_pms,
+                              assignment=rng.integers(0, n_pms // 4, n_vms))
+        dc = Datacenter(vms, pms, placement, seed=seed, start_stationary=True)
+        degrade = bool(seed % 3)
+        inj = FailureInjector(dc, failure_probability=0.0,
+                              degrade_stranded=degrade, seed=seed)
+        inj.failed[:] = rng.random(n_pms) < 0.2
+        if seed % 2:
+            # only half the used PMs stay healthy: evacuations go to busy
+            # hosts and run into the degraded and stranded paths
+            inj.failed[n_pms // 4:] = True
+            inj.failed[:n_pms // 4] |= rng.random(n_pms // 4) < 0.5
+        outcomes = set()
+        for pm_id in rng.permutation(n_pms // 4)[:10]:
+            pm_id = int(pm_id)
+            inj.failed[pm_id] = True
+            want = evacuate_reference(dc, inj.failed, pm_id,
+                                      degrade_stranded=degrade)
+            loads = dc.pm_loads()
+            inj._evacuate(pm_id)
+            for vm_id, (target, degraded) in want.items():
+                if target < 0:
+                    assert vm_id in inj.stranded_vms
+                    assert dc.placement.pm_of(vm_id) == pm_id
+                    outcomes.add("stranded")
+                    continue
+                assert dc.placement.pm_of(vm_id) == target
+                assert dc.throttled[vm_id] == degraded
+                outcomes.add("degraded" if degraded
+                             else "tie" if loads[target] == 0.0 else "used")
+        return outcomes
+
+
+#: a small failure run whose evacuations pick among hundreds of tied
+#: empty PMs; prints its statistics as JSON
+_FAILURE_RUN = """
+import hashlib, json
+from repro.core.queuing_ffd import QueuingFFD
+from repro.simulation.scenario import Scenario
+from repro.workload.patterns import generate_pattern_instance
+vms, pms = generate_pattern_instance("large", 400, seed=3)
+report = Scenario(vms, pms, placer=QueuingFFD(rho=0.01, d=16),
+                  failures={"failure_probability": 0.02},
+                  start_stationary=True).run(40, seed=4)
+print(json.dumps({
+    "pms_used_series": hashlib.sha256(
+        report.record.pms_used_series.tobytes()).hexdigest(),
+    "migrations": report.total_migrations,
+    "availability": report.availability,
+}, sort_keys=True, default=str))
+"""
+
+
+def test_evacuation_is_independent_of_the_cpu_simd_level():
+    """numpy picks its sort kernels by SIMD level; a run's statistics must
+    not change when the wider kernels are disabled."""
+    outputs = {}
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR",
+                     "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, PYTHONPATH=SRC,
+                   NPY_DISABLE_CPU_FEATURES=disabled)
+        if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                          capture_output=True).returncode:
+            continue  # this numpy rejects the variant (e.g. baseline)
+        run = subprocess.run([sys.executable, "-c", _FAILURE_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs[disabled] = run.stdout
+    assert "" in outputs
+    assert len(set(outputs.values())) == 1, outputs
 
 
 class TestResilienceComparison:
