@@ -9,10 +9,8 @@ from repro.experiments.fig10_timeline import run_fig10
 
 
 def test_fig10_timeline(benchmark, save_result):
-    result = benchmark.pedantic(
-        lambda: run_fig10(n_vms=120, seed=2013, sample_every=5),
-        rounds=1, iterations=1,
-    )
+    # the published defaults, exactly what `python -m repro bench` runs
+    result = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
     save_result(result)
 
     queue = result.column("QUEUE_cum_migrations")

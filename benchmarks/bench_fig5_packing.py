@@ -9,10 +9,8 @@ from repro.experiments.fig5_packing import run_fig5
 
 
 def test_fig5_packing(benchmark, save_result):
-    result = benchmark.pedantic(
-        lambda: run_fig5(n_vms_list=(100, 200, 400), n_repetitions=3, seed=2013),
-        rounds=1, iterations=1,
-    )
+    # the published defaults, exactly what `python -m repro bench` runs
+    result = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
     save_result(result)
 
     # Shape assertions mirroring the paper's claims.

@@ -8,10 +8,8 @@ from repro.experiments.fig6_cvr import run_fig6
 
 
 def test_fig6_cvr(benchmark, save_result):
-    result = benchmark.pedantic(
-        lambda: run_fig6(n_vms=150, n_steps=15_000, n_repetitions=3, seed=2013),
-        rounds=1, iterations=1,
-    )
+    # the published defaults, exactly what `python -m repro bench` runs
+    result = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
     save_result(result)
 
     rows = {(r[0], r[1]): r for r in result.rows}

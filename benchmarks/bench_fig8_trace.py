@@ -9,11 +9,8 @@ from repro.experiments.fig8_trace import run_fig8
 
 
 def test_fig8_trace(benchmark, save_result):
-    result = benchmark.pedantic(
-        lambda: run_fig8(normal_users=400, peak_users=1200, n_intervals=500,
-                         seed=2013),
-        rounds=1, iterations=1,
-    )
+    # the published defaults, exactly what `python -m repro bench` runs
+    result = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
     save_result(result)
 
     requests = result.column("requests")

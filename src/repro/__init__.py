@@ -22,7 +22,7 @@ from repro.core.mapcal import BlockMapping, mapcal, mapcal_table
 from repro.core.multidim import MultiDimFirstFit, MultiDimPMSpec, MultiDimVMSpec
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState, fits_with_reservation
+from repro.core.reservation import PMReservationState
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OnOffChain
@@ -71,7 +71,6 @@ __all__ = [
     "OnlineConsolidator",
     "QueuingFFD",
     "PMReservationState",
-    "fits_with_reservation",
     "Placement",
     "PMSpec",
     "VMSpec",

@@ -34,7 +34,6 @@ from repro.core.reservation import (
     PMReservationState,
     ReservationLedger,
     eq17_need,
-    fits_with_reservation,
 )
 from repro.core.rounding import round_switch_probabilities
 from repro.core.types import PMSpec, Placement, VMSpec
@@ -59,7 +58,6 @@ __all__ = [
     "PMReservationState",
     "ReservationLedger",
     "eq17_need",
-    "fits_with_reservation",
     "round_switch_probabilities",
     "PMSpec",
     "Placement",

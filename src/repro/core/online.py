@@ -7,16 +7,15 @@ The paper's online rules:
 - **departure** — remove the VM and recompute the PM's queue;
 - **batch arrival** — run the Algorithm 2 ordering over the batch.
 
-Reservation states make all recomputation implicit: block count follows the
-hosted count through the precomputed mapping table and block size follows the
-running ``max R_e``.
+The reservation ledger makes all recomputation implicit: block count follows
+the hosted count through the precomputed mapping table and block size follows
+the running ``max R_e``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -109,14 +108,17 @@ class OnlineConsolidator:
                 "no VMs admitted yet; the mapping table is created on the "
                 "first arrival"
             )
-        state = self._ledger.states[pm_index]
-        return replace(state, vms=dict(state.vms))
+        return self._ledger.state(pm_index)
 
     def hosted_vms(self) -> dict[int, VMSpec]:
-        """Snapshot mapping vm_id -> spec of all hosted VMs."""
+        """Snapshot mapping vm_id -> spec of all hosted VMs.
+
+        PM by PM, each PM's VMs in admission order (:meth:`recalibrate`
+        refits the mapping over the values in this order).
+        """
         out: dict[int, VMSpec] = {}
-        for state in (self._ledger.states if self._ledger is not None else ()):
-            out.update(state.vms)
+        for hosted in (self._ledger.hosted if self._ledger is not None else ()):
+            out.update(hosted)
         return out
 
     def _eligible_mask(self, eligible: Iterable[int] | None) -> np.ndarray | None:
@@ -412,7 +414,7 @@ class OnlineConsolidator:
             }
         vms = {}
         for vm_id, pm_idx in self._locations.items():
-            spec = self._ledger.states[pm_idx].vms[vm_id]
+            spec = self._ledger.hosted[pm_idx][vm_id]
             vms[str(vm_id)] = {
                 "pm": pm_idx,
                 "p_on": spec.p_on, "p_off": spec.p_off,

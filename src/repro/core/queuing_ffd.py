@@ -120,27 +120,34 @@ class QueuingFFD(Placer):
     # Placer interface
     # ------------------------------------------------------------------ #
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        placement, _ = self.place_with_states(vms, pms)
-        return placement
+        with timed("queuing_ffd.place"):
+            return self._pack(vms, pms, self._batch_order(vms))[0]
 
     def place_with_states(
         self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
     ) -> tuple[Placement, list[PMReservationState]]:
-        """Place VMs and also return the per-PM reservation states.
+        """Place VMs and also return a snapshot of every PM's reservation.
 
-        The simulator and the online consolidator consume the states to know
-        each PM's committed (base + reserved) load without recomputation.
+        One read-only :class:`PMReservationState` per PM, giving its hosted
+        set and committed (base + reserved) load for inspection and tests.
 
         The first-fit scan runs on a :class:`ReservationLedger`: each VM's
-        Eq. (17) test evaluates against *all* PMs in one NumPy pass, so
-        placement costs O(m) NumPy work per VM rather than an O(m) Python
-        loop.
+        Eq. (17) test evaluates against the PMs in one NumPy pass, so
+        placement costs NumPy work per VM rather than an O(m) Python loop.
         """
         with timed("queuing_ffd.place"):
-            return self._pack(vms, pms, self.order_vms(vms))
+            placement, ledger = self._pack(vms, pms, self._batch_order(vms))
+        if ledger is None:
+            return placement, []
+        return placement, [ledger.state(j) for j in range(len(pms))]
+
+    def _batch_order(self, vms: Sequence[VMSpec]) -> Iterable[int]:
+        """The order a batch is placed in: Algorithm 2's :meth:`order_vms`."""
+        return self.order_vms(vms)
 
     def _pack(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec],
-              order: Iterable[int]) -> tuple[Placement, list[PMReservationState]]:
+              order: Iterable[int]
+              ) -> tuple[Placement, ReservationLedger | None]:
         """Place ``vms`` in ``order`` on a fresh ledger over ``pms``.
 
         First-fit, unless the placer has a ``choose_for`` hook (GRAND):
@@ -149,7 +156,7 @@ class QueuingFFD(Placer):
         """
         placement = Placement(len(vms), len(pms))
         if not vms:
-            return placement, []
+            return placement, None
         explainer = self.explainer
         if explainer is None:
             mapping = self.mapping_for(vms)
@@ -191,4 +198,4 @@ class QueuingFFD(Placer):
             if spread is not None:
                 spread.admit(pm_idx, domain_counts)
             placement.place(vm_idx, pm_idx)
-        return placement, ledger.states
+        return placement, ledger

@@ -8,14 +8,15 @@ admitted iff (paper Eq. 17)
       + sum of R_b over T_j + R_b^i              <=  C_j
 
 :func:`eq17_need` is the one implementation of the left-hand side.  Every
-homogeneous caller reaches it through :class:`ReservationLedger` (one
-NumPy pass over a fleet: QueuingFFD, GRAND, the online consolidator, the
-placement service) or its scalar form :func:`fits_with_reservation`.
+homogeneous caller reaches it through :class:`ReservationLedger`, the one
+owner of per-PM reservation state (one NumPy pass over a fleet:
+QueuingFFD, GRAND, the online consolidator, the placement service and the
+arrivals simulator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,54 +49,21 @@ def eq17_need(vm: VMSpec, blocks, base_sum, max_extra):
     return np.maximum(max_extra, vm.r_extra) * blocks + base_sum + vm.r_base
 
 
-def fits_with_reservation(vm: VMSpec, pm_capacity: float, *,
-                          current_count: int, current_base_sum: float,
-                          current_max_extra: float,
-                          mapping: BlockMapping) -> bool:
-    """Evaluate the paper's Eq. (17) admission constraint for one PM.
-
-    The scalar form of :meth:`ReservationLedger.need`.
-
-    Parameters
-    ----------
-    vm:
-        Candidate VM.
-    pm_capacity:
-        The PM's capacity ``C_j``.
-    current_count, current_base_sum, current_max_extra:
-        Aggregates of the VMs already on the PM (``|T_j|``, ``sum R_b``,
-        ``max R_e``; use 0 for an empty PM).
-    mapping:
-        Precomputed ``k -> K`` block table.
-
-    Returns
-    -------
-    bool
-        True iff placing ``vm`` keeps reserved-plus-base usage within
-        capacity.  If the PM would exceed the table's ``d`` (the per-PM VM
-        limit), the VM does not fit by definition.
-    """
-    if current_count + 1 > mapping.d:
-        return False
-    need = eq17_need(vm, mapping.table[current_count + 1], current_base_sum,
-                     current_max_extra)
-    return bool(need <= pm_capacity + EPS)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PMReservationState:
-    """Mutable aggregate state of one PM during consolidation.
+    """Read-only snapshot of one PM's Eq. (17) state (see
+    :meth:`ReservationLedger.state`).
 
-    Tracks exactly the quantities Eq. (17) needs.  ``max_extra`` removal is
-    handled by recomputing from the hosted set (rare path, only used by the
-    online consolidator on VM exit).
+    ``vms`` maps each hosted VM id to its spec in admission order;
+    ``base_sum`` and ``max_extra`` are the ledger's aggregates at the time
+    of the snapshot.
     """
 
     spec: PMSpec
     mapping: BlockMapping
-    vms: dict[int, VMSpec] = field(default_factory=dict)
-    base_sum: float = 0.0
-    max_extra: float = 0.0
+    vms: dict[int, VMSpec]
+    base_sum: float
+    max_extra: float
 
     @property
     def count(self) -> int:
@@ -127,63 +95,28 @@ class PMReservationState:
         """Capacity remaining beyond the committed amount."""
         return self.spec.capacity - self.committed
 
-    def fits(self, vm: VMSpec) -> bool:
-        """Whether ``vm`` can be admitted under Eq. (17)."""
-        return fits_with_reservation(
-            vm,
-            self.spec.capacity,
-            current_count=self.count,
-            current_base_sum=self.base_sum,
-            current_max_extra=self.max_extra,
-            mapping=self.mapping,
-        )
-
-    def add(self, vm_id: int, vm: VMSpec) -> None:
-        """Admit ``vm`` (caller must have checked :meth:`fits`)."""
-        if vm_id in self.vms:
-            raise ValueError(f"VM {vm_id} is already on this PM")
-        if self.count + 1 > self.mapping.d:
-            raise ValueError(
-                f"PM already hosts d={self.mapping.d} VMs; cannot admit more"
-            )
-        self.vms[vm_id] = vm
-        self.base_sum += vm.r_base
-        self.max_extra = max(self.max_extra, vm.r_extra)
-
-    def remove(self, vm_id: int) -> VMSpec:
-        """Evict VM ``vm_id``, recomputing aggregates."""
-        try:
-            vm = self.vms.pop(vm_id)
-        except KeyError:
-            raise KeyError(f"VM {vm_id} is not hosted on this PM") from None
-        self.base_sum -= vm.r_base
-        if self.is_empty:
-            self.base_sum = 0.0  # absorb float dust
-            self.max_extra = 0.0
-        elif vm.r_extra >= self.max_extra:
-            self.max_extra = max(v.r_extra for v in self.vms.values())
-        return vm
-
 
 class ReservationLedger:
     """Eq. (17) state of a whole fleet, one NumPy array per aggregate.
 
-    Mirrors ``states`` (one :class:`PMReservationState` per PM, which does
-    the bookkeeping and keeps the hosted specs) into per-PM ``count``,
-    ``base_sum`` and ``max_extra`` arrays next to ``capacity``, so an
+    The only owner of per-PM reservation state: per-PM ``count``,
+    ``base_sum`` and ``max_extra`` arrays next to ``capacity``, and the
+    hosted ``{vm_id: spec}`` dict of every PM in ``hosted``, so an
     admission test over ``m`` PMs is one vectorized :meth:`need`.  First
     fit runs it only below the high-water mark (one past the highest PM
     ever used), so a batch of ``n`` VMs costs O(n * hw) NumPy work instead
-    of O(n * m).
+    of O(n * m).  :meth:`state` snapshots one PM.
     """
 
     def __init__(self, pms: Sequence[PMSpec], mapping: BlockMapping):
-        self.states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        m = len(self.states)
-        self.capacity = np.array([p.capacity for p in pms], dtype=float)
+        self.pms = list(pms)
+        m = len(self.pms)
+        self.capacity = np.array([p.capacity for p in self.pms], dtype=float)
         self.count = np.zeros(m, dtype=np.int64)
         self.base_sum = np.zeros(m, dtype=float)
         self.max_extra = np.zeros(m, dtype=float)
+        #: per PM, the hosted VM specs by id in admission order
+        self.hosted: list[dict[int, VMSpec]] = [{} for _ in range(m)]
         #: one past the highest PM that ever hosted a VM: only :meth:`add`
         #: moves it (upward), so every PM from here on is empty
         self._hw = 0
@@ -193,14 +126,19 @@ class ReservationLedger:
         """Run every PM's Eq. (17) test against ``mapping`` from now on."""
         d = mapping.d
         self.mapping = mapping
-        for state in self.states:
-            state.mapping = mapping
         #: next_blocks[k] = mapping(min(k + 1, d)): the block count a PM
         #: hosting k VMs reserves once one more joins
         self._next_blocks = mapping.table[
             np.minimum(np.arange(d + 1) + 1, d)].astype(float)
         #: capacity + EPS, or -inf once the PM hosts d VMs (the VM-cap veto)
         self._limit = np.where(self.count < d, self.capacity + EPS, -np.inf)
+
+    def state(self, j: int) -> PMReservationState:
+        """A snapshot of PM ``j``'s reservation state."""
+        return PMReservationState(
+            spec=self.pms[j], mapping=self.mapping, vms=dict(self.hosted[j]),
+            base_sum=float(self.base_sum[j]),
+            max_extra=float(self.max_extra[j]))
 
     # ------------------------------------------------------------------ #
     # the Eq. (17) test
@@ -276,20 +214,39 @@ class ReservationLedger:
     # ------------------------------------------------------------------ #
     def add(self, j: int, vm_id: int, vm: VMSpec) -> None:
         """Host ``vm`` on PM ``j`` (the caller has run the Eq. (17) test)."""
-        self.states[j].add(vm_id, vm)
-        self._sync(j)
+        hosted = self.hosted[j]
+        if vm_id in hosted:
+            raise ValueError(f"VM {vm_id} is already on PM {j}")
+        d = self.mapping.d
+        if len(hosted) + 1 > d:
+            raise ValueError(f"PM {j} already hosts d={d} VMs; cannot admit more")
+        hosted[vm_id] = vm
+        self.count[j] = len(hosted)
+        self.base_sum[j] += vm.r_base
+        self.max_extra[j] = max(self.max_extra[j], vm.r_extra)
+        if len(hosted) == d:
+            self._limit[j] = -np.inf
         self._hw = max(self._hw, j + 1)
 
     def remove(self, j: int, vm_id: int) -> VMSpec:
-        """Evict VM ``vm_id`` from PM ``j``."""
-        vm = self.states[j].remove(vm_id)
-        self._sync(j)
-        return vm
+        """Evict VM ``vm_id`` from PM ``j``, recomputing its aggregates.
 
-    def _sync(self, j: int) -> None:
-        state = self.states[j]
-        self.count[j] = state.count
-        self.base_sum[j] = state.base_sum
-        self.max_extra[j] = state.max_extra
-        self._limit[j] = (self.capacity[j] + EPS
-                          if state.count < self.mapping.d else -np.inf)
+        An emptied PM is reset to exact zeros (no float dust); otherwise
+        ``max_extra`` is recomputed from the remaining VMs only when the
+        leaving VM held it.
+        """
+        hosted = self.hosted[j]
+        try:
+            vm = hosted.pop(vm_id)
+        except KeyError:
+            raise KeyError(f"VM {vm_id} is not hosted on PM {j}") from None
+        self.count[j] = len(hosted)
+        if not hosted:
+            self.base_sum[j] = 0.0
+            self.max_extra[j] = 0.0
+        else:
+            self.base_sum[j] -= vm.r_base
+            if vm.r_extra >= self.max_extra[j]:
+                self.max_extra[j] = max(v.r_extra for v in hosted.values())
+        self._limit[j] = self.capacity[j] + EPS
+        return vm

@@ -43,10 +43,10 @@ class ScalarReferenceDatacenter(Datacenter):
         per VM, so the resulting ON/OFF trajectory is bit-identical.
         """
         with timed("datacenter.step"):
-            u = self._rng.random(len(self.vms))
+            u = self._rng.random(self.n_vms)
             on = self._on
             new = np.empty_like(on)
-            for i in range(len(self.vms)):
+            for i in range(self.n_vms):
                 if on[i]:
                     new[i] = u[i] >= self._p_off[i]
                 else:
@@ -94,8 +94,12 @@ class ScalarReferenceDatacenter(Datacenter):
         return loads
 
     def pm_used_mask(self) -> np.ndarray:
-        """Powered-on mask via the per-PM hosted-set check."""
-        return np.array([p.is_used for p in self.pms], dtype=bool)
+        """Powered-on mask via a scalar scan of the assignment."""
+        mask = np.zeros(self.n_pms, dtype=bool)
+        for pm_id in self.placement.assignment.tolist():
+            if pm_id >= 0:
+                mask[pm_id] = True
+        return mask
 
     def overloaded_pms(self) -> np.ndarray:
         """Violated PM indices via a per-PM Python scan."""
@@ -105,5 +109,6 @@ class ScalarReferenceDatacenter(Datacenter):
         return np.array(hits, dtype=np.int64)
 
     def used_pm_count(self) -> int:
-        """Powered-on PM count via the per-PM Python scan."""
-        return sum(1 for p in self.pms if p.is_used)
+        """Powered-on PM count via a scalar scan of the assignment."""
+        return len({pm_id for pm_id in self.placement.assignment.tolist()
+                    if pm_id >= 0})

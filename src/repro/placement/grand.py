@@ -24,8 +24,7 @@ import hashlib
 from typing import Sequence
 
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
-from repro.core.types import Placement, PMSpec, VMSpec
+from repro.core.types import VMSpec
 
 
 def hash_pick(seed: int, decision_seq: int, n_choices: int) -> int:
@@ -87,10 +86,8 @@ class GreedyRandomPlacer(QueuingFFD):
         return choose
 
     # ------------------------------------------------------------------ #
-    # Placer interface
+    # batch placement
     # ------------------------------------------------------------------ #
-    def place_with_states(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
+    def _batch_order(self, vms: Sequence[VMSpec]) -> range:
         """Place VMs in input order, each on a hash-picked feasible PM."""
-        return self._pack(vms, pms, range(len(vms)))
+        return range(len(vms))

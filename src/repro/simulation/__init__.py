@@ -14,7 +14,7 @@ and a dynamic scheduler reacts to capacity overflow with live migration.
 - :mod:`repro.simulation.monitor` — time series: migrations, PMs used, CVR.
 """
 
-from repro.simulation.datacenter import Datacenter, PMRuntime, VMRuntime
+from repro.simulation.datacenter import Datacenter
 from repro.simulation.energy import EnergyModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.migration import (
@@ -81,8 +81,6 @@ __all__ = [
     "OverflowTrigger",
     "SlidingWindowCVRTrigger",
     "Datacenter",
-    "PMRuntime",
-    "VMRuntime",
     "EnergyModel",
     "SimulationEngine",
     "MigrationEvent",

@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.mapcal import BlockMapping
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import ReservationLedger
 from repro.core.types import PMSpec, VMSpec
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer, check_probability
@@ -101,8 +100,8 @@ class DynamicFleetSimulator:
         self._rng = as_generator(seed)
         self.vm_factory = vm_factory or self._default_factory
         self._pms = list(pms)
-        self._mapping: BlockMapping | None = None
-        self._states: list[PMReservationState] = []
+        #: Eq. (17) state, built on the first arrival's mapping
+        self._ledger: ReservationLedger | None = None
         self._live: dict[int, _LiveVM] = {}
         self._next_id = 0
 
@@ -121,7 +120,9 @@ class DynamicFleetSimulator:
 
     def used_pm_count(self) -> int:
         """Powered-on PM count."""
-        return sum(1 for s in self._states if not s.is_empty)
+        if self._ledger is None:
+            return 0
+        return int(np.count_nonzero(self._ledger.count))
 
     def pm_loads(self) -> np.ndarray:
         """Instantaneous aggregate demand per PM."""
@@ -133,28 +134,22 @@ class DynamicFleetSimulator:
     # ------------------------------------------------------------------ #
     # mechanics
     # ------------------------------------------------------------------ #
-    def _ensure_states(self, sample: VMSpec) -> None:
-        if self._mapping is None:
-            self._mapping = self.placer.mapping_for([sample])
-            self._states = [
-                PMReservationState(spec=p, mapping=self._mapping)
-                for p in self._pms
-            ]
-
     def _admit(self, spec: VMSpec) -> bool:
-        self._ensure_states(spec)
-        for pm_idx, state in enumerate(self._states):
-            if state.fits(spec):
-                vm_id = self._next_id
-                self._next_id += 1
-                state.add(vm_id, spec)
-                self._live[vm_id] = _LiveVM(spec=spec, pm=pm_idx)
-                return True
-        return False
+        if self._ledger is None:
+            self._ledger = ReservationLedger(self._pms,
+                                             self.placer.mapping_for([spec]))
+        pm_idx = self._ledger.first_fit(spec)
+        if pm_idx < 0:
+            return False
+        vm_id = self._next_id
+        self._next_id += 1
+        self._ledger.add(pm_idx, vm_id, spec)
+        self._live[vm_id] = _LiveVM(spec=spec, pm=pm_idx)
+        return True
 
     def _depart(self, vm_id: int) -> None:
         vm = self._live.pop(vm_id)
-        self._states[vm.pm].remove(vm_id)
+        self._ledger.remove(vm.pm, vm_id)
 
     def _step_workloads(self) -> None:
         for vm in self._live.values():
@@ -176,20 +171,20 @@ class DynamicFleetSimulator:
                 vm = self._live[vid]
                 demand = vm.spec.demand(vm.on)
                 current = self.pm_loads()
+                ok = (self._ledger.fit_mask(vm.spec)
+                      & (current + demand <= caps + _EPS))
+                ok[pm_idx] = False
                 # least loaded first, lowest index on ties: the default
                 # (unstable) sort orders ties differently by SIMD level
-                for cand in np.argsort(current, kind="stable"):
-                    cand = int(cand)
-                    if cand == pm_idx:
-                        continue
-                    fits_now = current[cand] + demand <= caps[cand] + _EPS
-                    if fits_now and self._states[cand].fits(vm.spec):
-                        self._states[pm_idx].remove(vid)
-                        self._states[cand].add(vid, vm.spec)
-                        vm.pm = cand
-                        record.migrations += 1
-                        moved = True
-                        break
+                order = np.argsort(current, kind="stable")
+                ok = ok[order]
+                if ok.any():
+                    cand = int(order[ok.argmax()])
+                    self._ledger.remove(pm_idx, vid)
+                    self._ledger.add(cand, vid, vm.spec)
+                    vm.pm = cand
+                    record.migrations += 1
+                    moved = True
             if not moved and loads[pm_idx] > caps[pm_idx] + _EPS:
                 record.violations += 1
 

@@ -145,8 +145,7 @@ class CostedScheduler(DynamicScheduler):
         self.tick_transfers()
         events = super().resolve_overloads(time)
         for e in events:
-            vm = self.dc.vms[e.vm_id].spec
-            footprint = vm.r_base
+            footprint = float(self.dc.vm_base_demands()[e.vm_id])
             duration = self.cost_model.duration_intervals(footprint)
             downtime = self.cost_model.downtime_seconds(footprint)
             overhead = self.cost_model.overhead_load(

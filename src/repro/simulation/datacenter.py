@@ -1,6 +1,8 @@
 """Runtime state of the simulated datacenter.
 
-Each VM carries its spec and current ON/OFF state; *local resizing* is
+The fleet's state lives in arrays indexed by VM or PM id: each VM's spec
+parameters, ON/OFF and throttle flags, and its host in
+``placement.assignment``, the one hosting record.  *Local resizing* is
 modelled as instantaneous (the paper: "local resizing adaptively adjusts VM
 configuration ... with neglectable time and resource overheads"), so a VM's
 allocation always equals its demand and a PM's load is the sum of hosted
@@ -10,7 +12,6 @@ scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,88 +28,8 @@ from repro.utils.rng import (
 _EPS = 1e-9
 
 
-class VMRuntime:
-    """A VM's live state: its spec, spike state, and degradation flag.
-
-    When hosted by a :class:`Datacenter` the ``on`` / ``throttled`` flags
-    are *views* into the datacenter's fleet-wide state arrays: reading or
-    writing them goes straight to the vectorized store, so the per-interval
-    tick never has to synchronize per-VM Python objects.  A free-standing
-    ``VMRuntime`` (no datacenter) stores the flags locally.
-    """
-
-    __slots__ = ("spec", "_dc", "_idx", "_on_local", "_throttled_local")
-
-    def __init__(self, spec: VMSpec, on: bool = False,
-                 throttled: bool = False):
-        self.spec = spec
-        self._dc: "Datacenter | None" = None
-        self._idx = -1
-        self._on_local = bool(on)
-        self._throttled_local = bool(throttled)
-
-    def _bind(self, dc: "Datacenter", idx: int) -> None:
-        """Attach this runtime to a datacenter's state arrays."""
-        dc._on[idx] = self._on_local
-        dc._throttled[idx] = self._throttled_local
-        self._dc = dc
-        self._idx = idx
-
-    @property
-    def on(self) -> bool:
-        """Whether the VM is currently in its ON (spiking) state."""
-        if self._dc is not None:
-            return bool(self._dc._on[self._idx])
-        return self._on_local
-
-    @on.setter
-    def on(self, value: bool) -> None:
-        if self._dc is not None:
-            self._dc._on[self._idx] = bool(value)
-        else:
-            self._on_local = bool(value)
-
-    @property
-    def throttled(self) -> bool:
-        """When True the VM is served at ``R_b`` only (graceful
-        degradation); its spike demand is shed instead of charged to the
-        host PM."""
-        if self._dc is not None:
-            return bool(self._dc._throttled[self._idx])
-        return self._throttled_local
-
-    @throttled.setter
-    def throttled(self, value: bool) -> None:
-        if self._dc is not None:
-            self._dc._throttled[self._idx] = bool(value)
-        else:
-            self._throttled_local = bool(value)
-
-    @property
-    def demand(self) -> float:
-        """Current resource demand (local resizing keeps allocation == demand)."""
-        return self.spec.r_base if self.throttled else self.spec.demand(self.on)
-
-    def __repr__(self) -> str:  # keep the old dataclass-style repr
-        return (f"VMRuntime(spec={self.spec!r}, on={self.on}, "
-                f"throttled={self.throttled})")
-
-
-@dataclass
-class PMRuntime:
-    """A PM's live state: capacity and the set of hosted VM ids."""
-
-    spec: PMSpec
-    vm_ids: set[int] = field(default_factory=set)
-
-    @property
-    def is_used(self) -> bool:
-        """Whether the PM hosts at least one VM (i.e. is powered on)."""
-        return bool(self.vm_ids)
-
-
 class Datacenter:
-    """The fleet: VM runtimes, PM runtimes, and their evolving demands.
+    """The fleet: VM and PM specs, hosting, and the evolving demands.
 
     Parameters
     ----------
@@ -134,11 +55,12 @@ class Datacenter:
         if not placement.all_placed:
             raise ValueError("initial placement must place every VM")
         self._rng = as_generator(seed)
-        self.pms = [PMRuntime(spec=p) for p in pms]
+        #: the specs the fleet was built from (frozen)
+        self.vm_specs: tuple[VMSpec, ...] = tuple(vms)
+        self.pm_specs: tuple[PMSpec, ...] = tuple(pms)
         self.placement = placement.copy()
-        for vm_id, pm_id in self.placement:
-            self.pms[pm_id].vm_ids.add(vm_id)
-        # Cache per-VM/per-PM parameter arrays for the vectorized tick.
+        self._count_hosted()
+        # Per-VM/per-PM parameter arrays for the vectorized tick.
         self._p_on = np.array([v.p_on for v in vms])
         self._p_off = np.array([v.p_off for v in vms])
         self._r_base = np.array([v.r_base for v in vms])
@@ -158,9 +80,6 @@ class Datacenter:
         q = self._q_assumed
         self._on = np.zeros(len(vms), dtype=bool)
         self._throttled = np.zeros(len(vms), dtype=bool)
-        self.vms = [VMRuntime(spec=v) for v in vms]
-        for i, runtime in enumerate(self.vms):
-            runtime._bind(self, i)
         if start_stationary and len(vms):
             self._on = self._rng.random(len(vms)) < q
 
@@ -180,11 +99,10 @@ class Datacenter:
         """Advance every VM's ON-OFF chain by one interval (vectorized).
 
         One RNG draw vector per interval; the fleet-wide transition is a
-        single masked update and the :class:`VMRuntime` views observe it
-        with no per-VM synchronization loop.
+        single masked update of the ON mask.
         """
         with timed("datacenter.step"):
-            u = self._rng.random(len(self.vms))
+            u = self._rng.random(self.n_vms)
             self._on = np.where(self._on, u >= self._p_off, u < self._p_on)
 
     # ------------------------------------------------------------------ #
@@ -193,12 +111,12 @@ class Datacenter:
     @property
     def n_vms(self) -> int:
         """Number of VMs."""
-        return len(self.vms)
+        return len(self.vm_specs)
 
     @property
     def n_pms(self) -> int:
         """Number of PMs in the fleet (used or idle)."""
-        return len(self.pms)
+        return len(self.pm_specs)
 
     def vm_demands(self) -> np.ndarray:
         """Current *served* demand of every VM (vectorized).
@@ -213,9 +131,15 @@ class Datacenter:
         return self._r_base + self._r_extra * self._on
 
     def pm_load(self, pm_id: int) -> float:
-        """Aggregate demand on PM ``pm_id``."""
-        demands = self.vm_demands()
-        return float(sum(demands[v] for v in self.pms[pm_id].vm_ids))
+        """Aggregate demand on PM ``pm_id``: ``pm_loads()[pm_id]``.
+
+        Summed one VM at a time in ascending id order, the order
+        :meth:`pm_loads` accumulates in, so the two agree bit for bit.
+        """
+        total = 0.0
+        for demand in self.vm_demands()[self.placement.vms_on(pm_id)].tolist():
+            total += demand
+        return total
 
     def pm_loads(self) -> np.ndarray:
         """Aggregate demand of every PM (vectorized scatter-add)."""
@@ -223,20 +147,25 @@ class Datacenter:
         np.add.at(loads, self.placement.assignment, self.vm_demands())
         return loads
 
+    def vm_base_demands(self) -> np.ndarray:
+        """Per-VM base demand ``R_b`` (read-only view)."""
+        base = self._r_base.view()
+        base.flags.writeable = False
+        return base
+
     def pm_capacities(self) -> np.ndarray:
         """Per-PM capacity vector (cached, read-only — specs are frozen)."""
         return self._caps
 
-    def pm_used_mask(self) -> np.ndarray:
-        """Boolean mask of powered-on (non-empty) PMs, vectorized.
+    def pm_vm_counts(self) -> np.ndarray:
+        """Hosted VM count of every PM (read-only view)."""
+        counts = self._hosted.view()
+        counts.flags.writeable = False
+        return counts
 
-        Derived from the placement assignment, which :meth:`migrate` keeps
-        in lockstep with the per-PM ``vm_ids`` sets.
-        """
-        mask = np.zeros(self.n_pms, dtype=bool)
-        assignment = self.placement.assignment
-        mask[assignment[assignment >= 0]] = True
-        return mask
+    def pm_used_mask(self) -> np.ndarray:
+        """Boolean mask of powered-on (non-empty) PMs, vectorized."""
+        return self._hosted > 0
 
     def overloaded_pms(self) -> np.ndarray:
         """PM indices whose load currently exceeds capacity."""
@@ -245,7 +174,7 @@ class Datacenter:
 
     def used_pm_count(self) -> int:
         """Number of powered-on (non-empty) PMs."""
-        return int(self.pm_used_mask().sum())
+        return int(np.count_nonzero(self._hosted))
 
     def pm_base_loads(self) -> np.ndarray:
         """Aggregate *base* (OFF-state) demand per PM — spike-independent."""
@@ -344,9 +273,15 @@ class Datacenter:
     def migrate(self, vm_id: int, target_pm: int) -> int:
         """Move VM ``vm_id`` to ``target_pm``; returns the source PM."""
         src = self.placement.migrate(vm_id, target_pm)
-        self.pms[src].vm_ids.discard(vm_id)
-        self.pms[target_pm].vm_ids.add(vm_id)
+        self._hosted[src] -= 1
+        self._hosted[target_pm] += 1
         return src
+
+    def _count_hosted(self) -> None:
+        """Rebuild the per-PM hosted counts from the assignment."""
+        assignment = self.placement.assignment
+        self._hosted = np.bincount(assignment[assignment >= 0],
+                                   minlength=self.n_pms)
 
     # ------------------------------------------------------------------ #
     # checkpoint support
@@ -388,17 +323,14 @@ class Datacenter:
         # Older checkpoints predate the refittable assumed law: fall back to
         # the construction-time default (the specs).
         self._assumed_p_on = np.array(
-            state.get("assumed_p_on", [v.spec.p_on for v in self.vms]),
+            state.get("assumed_p_on", [v.p_on for v in self.vm_specs]),
             dtype=float)
         self._assumed_p_off = np.array(
-            state.get("assumed_p_off", [v.spec.p_off for v in self.vms]),
+            state.get("assumed_p_off", [v.p_off for v in self.vm_specs]),
             dtype=float)
         self._recompute_assumed()
         self.placement = Placement(
             self.n_vms, self.n_pms,
             np.array(state["assignment"], dtype=np.int64),
         )
-        for pm in self.pms:
-            pm.vm_ids.clear()
-        for vm_id, pm_id in self.placement:
-            self.pms[pm_id].vm_ids.add(vm_id)
+        self._count_hosted()

@@ -198,15 +198,15 @@ class FailureInjector:
         retried (graceful degradation) when ``degrade_stranded`` is set;
         only if even that fails is the VM stranded.
         """
-        vm_ids = sorted(self.dc.pms[pm_id].vm_ids)
         demands = self.dc.vm_demands()
+        bases = self.dc.vm_base_demands()
         caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
-        for vm_id in vm_ids:
+        for vm_id in self.dc.placement.vms_on(pm_id).tolist():
             if self._place_off(vm_id, pm_id, float(demands[vm_id]),
                                caps, loads, time=time):
                 continue
-            base = self.dc.vms[vm_id].spec.r_base
+            base = float(bases[vm_id])
             if (self.degrade_stranded and base < demands[vm_id] - _EPS
                     and self._place_off(vm_id, pm_id, base, caps, loads,
                                         degrade=True, time=time)):
@@ -292,7 +292,7 @@ class FailureInjector:
                         pm_id=int(self.dc.placement.pm_of(vm_id)),
                         reason="evacuated"))
                 continue
-            base = self.dc.vms[vm_id].spec.r_base
+            base = float(self.dc.vm_base_demands()[vm_id])
             if (self.degrade_stranded and base < demands[vm_id] - _EPS
                     and self._place_off(vm_id, src, base, caps, loads,
                                         degrade=True, time=time)):
@@ -335,7 +335,7 @@ class FailureInjector:
             self.failed[pm_id] = True
             self._down_since[pm_id] = time
             self.record.failures += 1
-            resident = len(self.dc.pms[pm_id].vm_ids)
+            resident = int(self.dc.pm_vm_counts()[pm_id])
             blast += resident
             if tel is not None:
                 self._m_crashes.inc()
@@ -403,7 +403,7 @@ class FailureInjector:
                 )
             for dom in np.flatnonzero(crashing_domains):
                 for pm_id in self.topology.pms_in(int(dom)):
-                    if self.dc.pms[int(pm_id)].vm_ids:
+                    if self.dc.pm_vm_counts()[pm_id]:
                         self._evacuate(int(pm_id), time)
 
         # independent per-PM crashes (powered-on PMs only)

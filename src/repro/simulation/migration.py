@@ -99,11 +99,11 @@ def select_vm_largest_demand(dc: Datacenter, pm_id: int) -> int:
     Moving the biggest contributor relieves the overflow fastest and is the
     natural choice when the spike itself caused the overflow.
     """
-    vm_ids = dc.pms[pm_id].vm_ids
-    if not vm_ids:
+    vm_ids = dc.placement.vms_on(pm_id)
+    if not vm_ids.size:
         raise ValueError(f"PM {pm_id} hosts no VMs")
     demands = dc.vm_demands()
-    return max(vm_ids, key=lambda v: (demands[v], -v))
+    return max(vm_ids.tolist(), key=lambda v: (demands[v], -v))
 
 
 def select_vm_min_sufficient(dc: Datacenter, pm_id: int) -> int:
@@ -112,13 +112,13 @@ def select_vm_min_sufficient(dc: Datacenter, pm_id: int) -> int:
     Minimizes moved bytes; falls back to the largest-demand VM when no
     single migration can clear the overflow.
     """
-    pm = dc.pms[pm_id]
-    if not pm.vm_ids:
+    vm_ids = dc.placement.vms_on(pm_id)
+    if not vm_ids.size:
         raise ValueError(f"PM {pm_id} hosts no VMs")
     demands = dc.vm_demands()
     load = dc.pm_load(pm_id)
-    excess = load - pm.spec.capacity
-    sufficient = [v for v in pm.vm_ids if demands[v] >= excess - _EPS]
+    excess = load - dc.pm_capacities()[pm_id]
+    sufficient = [v for v in vm_ids.tolist() if demands[v] >= excess - _EPS]
     if not sufficient:
         return select_vm_largest_demand(dc, pm_id)
     return min(sufficient, key=lambda v: (demands[v], v))
@@ -230,7 +230,7 @@ def select_target_reservation_aware(
     """
     base_loads = dc.pm_base_loads()
     caps = dc.pm_capacities()
-    base_vm = dc.vms[vm_id].spec.r_base
+    base_vm = dc.vm_base_demands()[vm_id]
     ok = (_feasible_mask(dc, dc.pm_loads(), vm_id, source_pm, excluded)
           & (base_loads + base_vm <= caps * (1.0 - headroom_fraction) + _EPS))
     return _prefer_used(dc, ok, base_loads)

@@ -117,9 +117,9 @@ class ReconsolidationScheduler(DynamicScheduler):
         a caller-supplied reason).
         """
         planning: Sequence[VMSpec] = (
-            list(vms) if vms is not None else [v.spec for v in self.dc.vms]
+            list(vms) if vms is not None else list(self.dc.vm_specs)
         )
-        pms = [p.spec for p in self.dc.pms]
+        pms = list(self.dc.pm_specs)
         cap = self.max_planned_moves if max_moves is None else max_moves
         with timed("reconsolidation.replan"):
             try:

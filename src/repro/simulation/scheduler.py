@@ -146,8 +146,9 @@ class DynamicScheduler:
         for pm_id in overloaded:
             pm_id = int(pm_id)
             # Evict until this PM fits or we cannot improve it.
-            while budget > 0 and self.dc.pm_load(pm_id) > self.dc.pms[pm_id].spec.capacity + 1e-9:
-                if len(self.dc.pms[pm_id].vm_ids) <= 1:
+            cap = self.dc.pm_capacities()[pm_id]
+            while budget > 0 and self.dc.pm_load(pm_id) > cap + 1e-9:
+                if self.dc.pm_vm_counts()[pm_id] <= 1:
                     break  # a lone VM that exceeds capacity has nowhere better
                 vm_id = self.policy.pick_vm(self.dc, pm_id)
                 if self.executor.in_backoff(vm_id, time):

@@ -1,17 +1,22 @@
 """Reference implementations the fast Eq. (17) paths are tested against.
 
-:func:`place_reference` is the literal Algorithm 2 loop (one
-:class:`PMReservationState` per PM, scanned in Python), once shipped as
-``QueuingFFD._place_reference``.  :func:`need_scalar` and
+:class:`PMReservationState` is the mutable per-PM bookkeeping that
+:class:`~repro.core.reservation.ReservationLedger` replaced: one Python
+dict and two running floats per PM, updated VM by VM.  The ledger's arrays
+and its :meth:`~repro.core.reservation.ReservationLedger.state` snapshots
+must equal its replay bit for bit.  :func:`place_reference` is the literal
+Algorithm 2 loop (one such state per PM, scanned in Python), once shipped
+as ``QueuingFFD._place_reference``.  :func:`need_scalar` and
 :func:`verdict_scalar` restate Eq. (17) and the verdict precedence per PM
 in plain Python, independent of :mod:`repro.core.reservation`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.reservation import PMReservationState
+from repro.core.mapcal import BlockMapping
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.base import (
     REASON_CHOSEN,
@@ -22,6 +27,58 @@ from repro.placement.base import (
     REASON_VM_CAP,
     InsufficientCapacityError,
 )
+
+
+@dataclass
+class PMReservationState:
+    """Mutable aggregate state of one PM, as Eq. (17) needs it.
+
+    ``max_extra`` is recomputed from the hosted set when the VM holding it
+    leaves; an emptied PM resets both sums to exact zeros.
+    """
+
+    spec: PMSpec
+    mapping: BlockMapping
+    vms: dict[int, VMSpec] = field(default_factory=dict)
+    base_sum: float = 0.0
+    max_extra: float = 0.0
+
+    @property
+    def count(self) -> int:
+        return len(self.vms)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.vms
+
+    @property
+    def committed(self) -> float:
+        """Base demand plus reservation (block size x block count)."""
+        blocks = self.mapping.blocks_for(self.count) if self.count else 0
+        return self.base_sum + self.max_extra * blocks
+
+    def fits(self, vm: VMSpec) -> bool:
+        return fits_scalar(self, vm)
+
+    def add(self, vm_id: int, vm: VMSpec) -> None:
+        if vm_id in self.vms:
+            raise ValueError(f"VM {vm_id} is already on this PM")
+        if self.count + 1 > self.mapping.d:
+            raise ValueError(
+                f"PM already hosts d={self.mapping.d} VMs; cannot admit more")
+        self.vms[vm_id] = vm
+        self.base_sum += vm.r_base
+        self.max_extra = max(self.max_extra, vm.r_extra)
+
+    def remove(self, vm_id: int) -> VMSpec:
+        vm = self.vms.pop(vm_id)
+        self.base_sum -= vm.r_base
+        if self.is_empty:
+            self.base_sum = 0.0  # absorb float dust
+            self.max_extra = 0.0
+        elif vm.r_extra >= self.max_extra:
+            self.max_extra = max(v.r_extra for v in self.vms.values())
+        return vm
 
 
 def place_reference(

@@ -34,12 +34,12 @@ def evacuate_reference(dc, failed: np.ndarray, pm_id: int, *,
     Reads the datacenter's current demands and loads; mutates nothing.
     """
     demands = dc.vm_demands()
-    caps = np.array([p.spec.capacity for p in dc.pms], dtype=float)
+    caps = np.array([p.capacity for p in dc.pm_specs], dtype=float)
     loads = dc.pm_loads()
     out: dict[int, tuple[int, bool]] = {}
-    for vm_id in sorted(dc.pms[pm_id].vm_ids):
+    for vm_id in np.flatnonzero(dc.placement.assignment == pm_id).tolist():
         full = float(demands[vm_id])
-        base = dc.vms[vm_id].spec.r_base
+        base = dc.vm_specs[vm_id].r_base
         tries = [(full, False)]
         if degrade_stranded and base < full - EPS:
             tries.append((base, True))

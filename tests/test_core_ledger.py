@@ -1,11 +1,13 @@
 """The reservation ledger against a per-PM scalar Eq. (17) oracle.
 
-Every fast Eq. (17) path — QueuingFFD's and GRAND's batch loops, the online
-consolidator's admission, verdict rows and headroom summary, and the
-placement service's decision — runs on :class:`ReservationLedger`.  These
-tests pin the ledger's ``need``, ``first_fit``, feasible list and verdict
-codes to :mod:`tests.eq17_oracle` on random fleets that include PMs at the
-``d`` cap and exact-capacity ties.
+Every Eq. (17) path — QueuingFFD's and GRAND's batch loops, the online
+consolidator's admission, verdict rows and headroom summary, the placement
+service's decision and the arrivals simulator — runs on
+:class:`ReservationLedger`.  These tests pin the ledger's bookkeeping to a
+replay of the per-PM :class:`tests.eq17_oracle.PMReservationState`, and
+its ``need``, ``first_fit``, feasible list and verdict codes to the scalar
+oracle, on random fleets that include PMs at the ``d`` cap and
+exact-capacity ties.
 """
 
 import numpy as np
@@ -14,11 +16,7 @@ import pytest
 from repro.core import reservation
 from repro.core.mapcal import mapcal_table
 from repro.core.online import OnlineConsolidator
-from repro.core.reservation import (
-    PMReservationState,
-    ReservationLedger,
-    fits_with_reservation,
-)
+from repro.core.reservation import ReservationLedger
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import (
     REASON_CHOSEN,
@@ -33,7 +31,12 @@ from repro.placement.base import (
     truncate_candidates,
 )
 from repro.placement.grand import GreedyRandomPlacer
-from tests.eq17_oracle import fits_scalar, need_scalar, verdict_scalar
+from tests.eq17_oracle import (
+    PMReservationState,
+    fits_scalar,
+    need_scalar,
+    verdict_scalar,
+)
 
 #: sizes on a coarse grid (exact sums, so ties are common) plus values
 #: that are not representable in binary
@@ -108,10 +111,6 @@ def test_need_and_fit_match_the_scalar_oracle(seed):
         want = [fits_scalar(s, vm) for s in states]
         assert ledger.fit_mask(vm).tolist() == want
         assert [s.fits(vm) for s in states] == want
-        assert [fits_with_reservation(
-            vm, s.spec.capacity, current_count=s.count,
-            current_base_sum=s.base_sum, current_max_extra=s.max_extra,
-            mapping=s.mapping) for s in states] == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -150,6 +149,56 @@ def test_truncation_agrees_on_codes_and_strings(seed):
     for top_k in (1, 3, 8):
         assert truncate_candidates(codes, chosen, top_k) \
             == truncate_candidates(strings, chosen, top_k)
+
+
+def assert_ledger_equals_oracle(ledger, states):
+    """Arrays and snapshots equal the oracle replay bit for bit."""
+    assert ledger.count.tolist() == [s.count for s in states]
+    assert ledger.base_sum.tolist() == [s.base_sum for s in states]
+    assert ledger.max_extra.tolist() == [s.max_extra for s in states]
+    for j, oracle in enumerate(states):
+        snap = ledger.state(j)
+        assert list(snap.vms.items()) == list(oracle.vms.items())
+        assert (snap.base_sum, snap.max_extra) == (oracle.base_sum,
+                                                   oracle.max_extra)
+        assert snap.committed == oracle.committed == ledger.committed()[j]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_add_remove_replay_matches_the_oracle(seed):
+    """Random admissions and departures, with every PM emptied now and
+    then and the VM holding a PM's ``max_extra`` often the one leaving."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 4, 8]))
+    mapping = mapcal_table(d, 0.1, 0.5, 0.01)
+    pms = [PMSpec(float(rng.uniform(5.0, 60.0)))
+           for _ in range(int(rng.integers(1, 6)))]
+    ledger = ReservationLedger(pms, mapping)
+    states = [PMReservationState(p, mapping) for p in pms]
+    seen = {"emptied": 0, "max_left": 0}
+    for vm_id in range(200):
+        j = int(rng.integers(len(pms)))
+        state = states[j]
+        if state.vms and (state.count == d or rng.random() < 0.45):
+            drain = rng.random() < 0.15
+            while state.vms:
+                if rng.random() < 0.5:  # the VM holding the max
+                    gone = max(state.vms, key=lambda v: state.vms[v].r_extra)
+                else:
+                    gone = list(state.vms)[int(rng.integers(state.count))]
+                seen["max_left"] += state.vms[gone].r_extra == state.max_extra
+                assert ledger.remove(j, gone) == state.remove(gone)
+                seen["emptied"] += state.is_empty
+                if not drain:
+                    break
+                assert_ledger_equals_oracle(ledger, states)
+        else:
+            spec = VMSpec(0.1, 0.5, float(rng.choice(SIZES)),
+                          float(rng.choice(SIZES)))
+            ledger.add(j, vm_id, spec)
+            state.add(vm_id, spec)
+        assert_ledger_equals_oracle(ledger, states)
+    assert seen["emptied"] >= 3 and seen["max_left"] >= 10, seen
 
 
 def test_removal_restores_the_oracle_aggregates():

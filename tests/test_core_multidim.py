@@ -116,8 +116,8 @@ class TestPlacement:
         """Under perfect correlation, the scalar encoding's Eq. (17)
         admission decisions match the multi-dim test exactly — verified by
         running the same input-order first fit on both encodings."""
-        from repro.core.reservation import fits_with_reservation
         from repro.core.mapcal import mapcal_table
+        from repro.core.reservation import ReservationLedger
 
         rng = np.random.default_rng(7)
         bases = rng.uniform(5, 15, 30)
@@ -129,22 +129,13 @@ class TestPlacement:
 
         # input-order scalar first fit with the identical admission rule
         mapping = mapcal_table(16, P_ON, P_OFF, 0.01)
-        counts = [0] * 30
-        base_sums = [0.0] * 30
-        max_extras = [0.0] * 30
+        ledger = ReservationLedger([PMSpec(c) for c in scalar_caps], mapping)
         assignment = []
-        for vm in scalar_vms:
-            for pm_idx in range(30):
-                if fits_with_reservation(
-                    vm, scalar_caps[pm_idx], current_count=counts[pm_idx],
-                    current_base_sum=base_sums[pm_idx],
-                    current_max_extra=max_extras[pm_idx], mapping=mapping,
-                ):
-                    counts[pm_idx] += 1
-                    base_sums[pm_idx] += vm.r_base
-                    max_extras[pm_idx] = max(max_extras[pm_idx], vm.r_extra)
-                    assignment.append(pm_idx)
-                    break
+        for vm_id, vm in enumerate(scalar_vms):
+            pm_idx = ledger.first_fit(vm)
+            assert pm_idx >= 0
+            ledger.add(pm_idx, vm_id, vm)
+            assignment.append(pm_idx)
         # Same order + same admission semantics -> identical assignment.
         np.testing.assert_array_equal(assignment, md.assignment)
 

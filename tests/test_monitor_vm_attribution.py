@@ -10,6 +10,7 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.monitor import Monitor
 from repro.simulation.scheduler import run_simulation
 from repro.workload.patterns import generate_pattern_instance
+from tests.sim_helpers import force_on
 
 
 def make_dc():
@@ -25,8 +26,7 @@ class TestVmAttribution:
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
         monitor.record_interval(dc, [])  # loads 90 / 10: no violation
-        dc._on[0] = True
-        dc.vms[0].on = True  # PM0 load 140 > 100
+        force_on(dc, 0)  # PM0 load 140 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.vm_suffering_counts, [1, 1, 0])
@@ -90,8 +90,7 @@ class TestVmAttribution:
         count to the suffering totals (when no migrations move VMs)."""
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
-        dc._on[0] = True
-        dc.vms[0].on = True
+        force_on(dc, 0)
         for _ in range(5):
             monitor.record_interval(dc, [])
         record = monitor.finalize()

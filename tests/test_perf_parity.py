@@ -114,26 +114,3 @@ class TestTickParity:
         vms, pms = generate_pattern_instance("equal", 10, seed=1)
         with pytest.raises(ValueError, match="tick_mode"):
             Scenario(vms, pms, placer=QueuingFFD(), tick_mode="turbo")
-
-
-class TestRuntimeViews:
-    """The array-backed VMRuntime views stay coherent with the arrays."""
-
-    def test_property_writes_hit_the_arrays(self):
-        vms, pms = generate_pattern_instance("equal", 8, seed=5)
-        placement = QueuingFFD(rho=0.01, d=16).place(vms, pms)
-        dc = Datacenter(vms, pms, placement, seed=0)
-        dc.vms[3].on = True
-        assert bool(dc._on[3])
-        dc._on[3] = False
-        assert dc.vms[3].on is False
-        dc.vms[2].throttled = True
-        assert bool(dc._throttled[2])
-
-    def test_unbound_runtime_keeps_local_flags(self):
-        from repro.simulation.datacenter import VMRuntime
-        from repro.core.types import VMSpec
-        rt = VMRuntime(spec=VMSpec(0.1, 0.4, 1.0, 2.0))
-        rt.on = True
-        assert rt.on is True and rt.throttled is False
-        assert "VMRuntime" in repr(rt)

@@ -283,7 +283,7 @@ def explain_targets_reference(dc, vm_id, source_pm, *, crashed=None,
     """The per-PM Python loop ``explain_targets`` replaced: verdict strings
     (source > crashed > blacklisted > capacity) and residual scores."""
     loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
+    caps = np.array([p.capacity for p in dc.pm_specs])
     residual = caps - loads - dc.vm_demands()[vm_id]
     verdicts = []
     for j in range(caps.size):

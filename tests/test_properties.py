@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.mapcal import mapcal, mapcal_table
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import fits_with_reservation
+from repro.core.reservation import ReservationLedger
 from repro.core.types import PMSpec, VMSpec
 from repro.markov.binomial import busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain
@@ -113,13 +113,16 @@ class TestReservationProperties:
                                             extra, count, base_sum, max_extra):
         mapping = mapcal_table(16, 0.01, 0.09, 0.01)
         vm = VMSpec(0.01, 0.09, base, extra)
-        fits_small = fits_with_reservation(
-            vm, capacity, current_count=count, current_base_sum=base_sum,
-            current_max_extra=max_extra, mapping=mapping)
-        fits_big = fits_with_reservation(
-            vm, capacity + extra_cap, current_count=count,
-            current_base_sum=base_sum, current_max_extra=max_extra,
-            mapping=mapping)
+        # two PMs hosting the same set: |T_j| = count, with the whole
+        # base_sum and max_extra carried by the first VM
+        hosted = [VMSpec(0.01, 0.09, base_sum, max_extra)] if count else []
+        hosted += [VMSpec(0.01, 0.09, 0.0, 0.0)] * (count - 1)
+        ledger = ReservationLedger(
+            [PMSpec(capacity), PMSpec(capacity + extra_cap)], mapping)
+        for j in range(2):
+            for vm_id, spec in enumerate(hosted):
+                ledger.add(j, vm_id, spec)
+        fits_small, fits_big = ledger.fit_mask(vm).tolist()
         if fits_small:
             assert fits_big
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.queuing_ffd import QueuingFFD
+from repro.core.reservation import ReservationLedger
 from repro.core.types import PMSpec, VMSpec
 from repro.simulation.arrivals import (
     DynamicFleetRecord,
@@ -67,7 +68,8 @@ class TestRun:
         sim = DynamicFleetSimulator(fleet(), arrival_probability=0.8,
                                     departure_probability=0.02, seed=3)
         sim.run(200)
-        for state in sim._states:
+        for j in range(len(sim._pms)):
+            state = sim._ledger.state(j)
             if not state.is_empty:
                 assert state.committed <= state.spec.capacity + 1e-6
                 assert state.count <= sim.placer.d
@@ -118,11 +120,12 @@ class TestRun:
         sim = DynamicFleetSimulator(fleet(n=400, cap=60.0),
                                     QueuingFFD(rho=0.5, d=16), seed=0)
         spec = VMSpec(0.2, 0.2, 10.0, 30.0)
-        sim._ensure_states(spec)
+        sim._ledger = ReservationLedger(sim._pms,
+                                        sim.placer.mapping_for([spec]))
         for pm in (0, 0, 2):
             vm_id = sim._next_id
             sim._next_id += 1
-            sim._states[pm].add(vm_id, spec)
+            sim._ledger.add(pm, vm_id, spec)
             sim._live[vm_id] = _LiveVM(spec=spec, pm=pm, on=True)
         record = DynamicFleetRecord(n_intervals=1)
         sim._resolve_overflows(record)

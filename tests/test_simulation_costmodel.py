@@ -10,6 +10,7 @@ from repro.simulation.costmodel import (
     MigrationCostModel,
 )
 from repro.simulation.datacenter import Datacenter
+from tests.sim_helpers import force_on
 
 
 class TestMigrationCostModel:
@@ -65,9 +66,7 @@ class TestCostedScheduler:
         pms = [PMSpec(90.0), PMSpec(90.0)]
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        force_on(dc)
         return dc
 
     def test_migration_is_charged(self):

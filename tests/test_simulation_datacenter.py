@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
+from tests.sim_helpers import force_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -23,9 +24,11 @@ def build_dc(seed=0):
 class TestConstruction:
     def test_vm_ids_registered_on_pms(self):
         dc, _, _ = build_dc()
-        assert dc.pms[0].vm_ids == {0, 1}
-        assert dc.pms[1].vm_ids == {2}
-        assert dc.pms[2].vm_ids == set()
+        assert dc.placement.vms_on(0).tolist() == [0, 1]
+        assert dc.placement.vms_on(1).tolist() == [2]
+        assert dc.placement.vms_on(2).tolist() == []
+        assert dc.pm_vm_counts().tolist() == [2, 1, 0]
+        assert dc.pm_used_mask().tolist() == [True, True, False]
 
     def test_rejects_incomplete_placement(self):
         vms = [vm(1, 1)]
@@ -42,14 +45,14 @@ class TestConstruction:
 
     def test_all_off_initially(self):
         dc, _, _ = build_dc()
-        assert not any(v.on for v in dc.vms)
+        assert not dc.on_states().any()
 
     def test_stationary_start(self):
         vms = [vm(1, 1)] * 5000
         pms = [PMSpec(1e9)]
         placement = Placement(5000, 1, assignment=np.zeros(5000, dtype=int))
         dc = Datacenter(vms, pms, placement, seed=0, start_stationary=True)
-        on_frac = np.mean([v.on for v in dc.vms])
+        on_frac = np.mean(dc.on_states())
         assert on_frac == pytest.approx(0.1, abs=0.02)
 
     def test_placement_copied(self):
@@ -74,10 +77,25 @@ class TestLoads:
         for j in range(3):
             assert loads[j] == pytest.approx(dc.pm_load(j))
 
+    def test_pm_load_is_bit_identical_to_pm_loads(self):
+        # VMs 9, 2 and 3 share PM 0.  Their R_b sum to 0.6 in id order
+        # (the order pm_loads accumulates in) but to 0.6000000000000001
+        # in the iteration order of the set {9, 2, 3}.
+        r_base = {2: 0.2, 3: 0.3, 9: 0.1}
+        vms = [vm(r_base.get(i, 1.0), 0.0) for i in range(10)]
+        assignment = np.array([0 if i in r_base else 1 for i in range(10)])
+        pms = [PMSpec(0.6 - 1e-9), PMSpec(100.0)]
+        dc = Datacenter(vms, pms, Placement(10, 2, assignment=assignment),
+                        seed=0)
+        assert dc.pm_load(0) == dc.pm_loads()[0] == 0.6
+        # overloaded_pms() and the scheduler's eviction loop condition
+        # must agree on whether PM 0 is overloaded
+        cap = dc.pm_capacities()[0]
+        assert (0 in dc.overloaded_pms()) == (dc.pm_load(0) > cap + 1e-9)
+
     def test_demand_reflects_state(self):
         dc, _, _ = build_dc()
-        dc.vms[0].on = True
-        dc._on[0] = True
+        force_on(dc, 0)
         assert dc.pm_load(0) == pytest.approx(35.0)
 
     def test_base_loads_state_independent(self):
@@ -93,9 +111,7 @@ class TestLoads:
         placement = Placement(2, 1, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
         assert dc.overloaded_pms().size == 0
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        force_on(dc)
         np.testing.assert_array_equal(dc.overloaded_pms(), [0])
 
     def test_used_pm_count(self):
@@ -108,8 +124,10 @@ class TestDynamics:
         dc, _, _ = build_dc(seed=42)
         for _ in range(200):
             dc.step()
-        flags = np.array([v.on for v in dc.vms])
+        flags = dc.on_states()
         np.testing.assert_array_equal(flags, dc._on)
+        flags[:] = ~flags  # a copy: the datacenter's mask is untouched
+        assert not np.array_equal(flags, dc._on)
 
     def test_long_run_on_fraction(self):
         vms = [vm(1, 1)] * 50
@@ -137,8 +155,10 @@ class TestMigrate:
         src = dc.migrate(0, 2)
         assert src == 0
         assert dc.placement.pm_of(0) == 2
-        assert 0 not in dc.pms[0].vm_ids
-        assert 0 in dc.pms[2].vm_ids
+        assert dc.placement.vms_on(0).tolist() == [1]
+        assert dc.placement.vms_on(2).tolist() == [0]
+        assert dc.pm_vm_counts().tolist() == [1, 1, 1]
+        assert dc.used_pm_count() == 3
 
     def test_migrate_preserves_load_total(self):
         dc, _, _ = build_dc()

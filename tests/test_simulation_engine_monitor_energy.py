@@ -9,6 +9,7 @@ from repro.simulation.energy import EnergyModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.migration import MigrationEvent
 from repro.simulation.monitor import Monitor
+from tests.sim_helpers import force_on
 
 
 class TestEngine:
@@ -72,8 +73,7 @@ class TestMonitor:
         dc = self._dc()
         monitor = Monitor(3)
         monitor.record_interval(dc, [])
-        dc._on[0] = True
-        dc.vms[0].on = True  # PM0 load 110 > 100
+        force_on(dc, 0)  # PM0 load 110 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.violation_counts, [1, 0, 0])

@@ -13,6 +13,7 @@ from repro.simulation.migration import (
     select_vm_largest_demand,
     select_vm_min_sufficient,
 )
+from tests.sim_helpers import force_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -26,10 +27,7 @@ def make_dc(vms, pms, assignment, on_flags=None, seed=0):
                           assignment=np.asarray(assignment))
     dc = Datacenter(vms, pms, placement, seed=seed)
     if on_flags is not None:
-        flags = np.asarray(on_flags, dtype=bool)
-        dc._on = flags
-        for i, runtime in enumerate(dc.vms):
-            runtime.on = bool(flags[i])
+        force_on(dc, np.flatnonzero(on_flags))
     return dc
 
 

@@ -36,14 +36,12 @@ def fleet_configs(draw):
 
 
 def check_invariants(dc: Datacenter) -> None:
-    # 1. every VM placed exactly once and membership mirrors the placement
-    counted = 0
-    for pm_id, pm in enumerate(dc.pms):
-        for vm_id in pm.vm_ids:
-            assert dc.placement.pm_of(vm_id) == pm_id
-            counted += 1
-    assert counted == dc.n_vms
+    # 1. every VM placed exactly once and the hosted counts mirror the
+    # placement
     assert dc.placement.all_placed
+    counts = np.bincount(dc.placement.assignment, minlength=dc.n_pms)
+    np.testing.assert_array_equal(dc.pm_vm_counts(), counts)
+    np.testing.assert_array_equal(dc.pm_used_mask(), counts > 0)
     # 2. loads consistent and non-negative
     loads = dc.pm_loads()
     assert np.all(loads >= -1e-9)

@@ -21,6 +21,7 @@ from repro.simulation.scenario import Scenario
 from repro.simulation.scheduler import DynamicScheduler
 from repro.simulation.topology import Topology
 from repro.workload.patterns import generate_pattern_instance
+from tests.sim_helpers import force_on
 
 
 def steady_vm(base=10.0, extra=5.0):
@@ -108,8 +109,7 @@ class TestGracefulDegradation:
         pms = [PMSpec(100.0), PMSpec(100.0)]
         placement = Placement(2, 2, assignment=np.array([0, 1]))
         dc = Datacenter(vms, pms, placement, seed=6)
-        dc._on[0] = True
-        dc.vms[0].on = True
+        force_on(dc, 0)
         return dc
 
     def test_stranded_vm_degrades_instead_of_dropping(self):
@@ -134,7 +134,6 @@ class TestGracefulDegradation:
         inj._evacuate(0)
         assert 0 in inj.degraded_vms
         # VM 1 departs its spike budget: drop its demand by shrinking state.
-        dc.vms[1].spec = VMSpec(0.01, 0.09, 10.0, 0.0)
         dc._r_base[1] = 10.0
         inj.step(0)
         assert not inj.degraded_vms
@@ -207,8 +206,7 @@ class TestRetryAndBackoff:
         dc = Datacenter(vms, pms, placement, seed=14)
         sched = DynamicScheduler(dc, migration_failure_probability=1.0,
                                  seed=15)
-        dc._on[0] = True
-        dc.vms[0].on = True  # load 90 > cap 80
+        force_on(dc, 0)  # load 90 > cap 80
         events = sched.resolve_overloads(0)
         assert events == []
         assert sched.failed_attempts_last_interval == 1

@@ -10,6 +10,7 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.migration import StandardPolicy
 from repro.simulation.scheduler import DynamicScheduler, run_simulation
 from repro.workload.patterns import generate_pattern_instance
+from tests.sim_helpers import force_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -32,9 +33,7 @@ class TestResolveOverloads:
         pms = [PMSpec(90.0), PMSpec(90.0)]
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True  # both spike: load 140 > 90
+        force_on(dc)  # both spike: load 140 > 90
         events = DynamicScheduler(dc).resolve_overloads(time=5)
         assert len(events) == 1
         e = events[0]
@@ -46,9 +45,7 @@ class TestResolveOverloads:
         pms = [PMSpec(90.0)]
         placement = Placement(2, 1, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        force_on(dc)
         events = DynamicScheduler(dc).resolve_overloads(0)
         assert events == []
         assert dc.overloaded_pms().size == 1

@@ -7,6 +7,7 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.scheduler import DynamicScheduler
 from repro.simulation.triggers import OverflowTrigger, SlidingWindowCVRTrigger
+from tests.sim_helpers import force_on
 
 
 def overloadable_dc(seed=0):
@@ -14,12 +15,6 @@ def overloadable_dc(seed=0):
     pms = [PMSpec(90.0), PMSpec(90.0)]
     placement = Placement(2, 2, assignment=np.array([0, 0]))
     return Datacenter(vms, pms, placement, seed=seed)
-
-
-def force_spike(dc, vm_ids):
-    for v in vm_ids:
-        dc._on[v] = True
-        dc.vms[v].on = True
 
 
 class TestOverflowTrigger:
@@ -38,7 +33,7 @@ class TestSlidingWindowCVRTrigger:
         for t in range(9):
             trigger.observe(dc, t)
         # one violating interval: windowed CVR = 1/10 = 0.1 <= 0.2
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         trigger.observe(dc, 9)
         assert trigger.windowed_cvr(0) == pytest.approx(0.1)
         assert not trigger.should_migrate(0)
@@ -46,7 +41,7 @@ class TestSlidingWindowCVRTrigger:
     def test_persistent_violation_fires(self):
         dc = overloadable_dc()
         trigger = SlidingWindowCVRTrigger(2, rho=0.2, window=10)
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         for t in range(5):
             trigger.observe(dc, t)
         assert trigger.windowed_cvr(0) == 1.0
@@ -55,12 +50,10 @@ class TestSlidingWindowCVRTrigger:
     def test_window_rolls_off_old_violations(self):
         dc = overloadable_dc()
         trigger = SlidingWindowCVRTrigger(2, rho=0.3, window=4)
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         trigger.observe(dc, 0)  # violation
         # now calm down
-        dc._on[:] = False
-        for v in dc.vms:
-            v.on = False
+        force_on(dc, on=False)
         for t in range(1, 5):
             trigger.observe(dc, t)
         assert trigger.windowed_cvr(0) == 0.0
@@ -68,7 +61,7 @@ class TestSlidingWindowCVRTrigger:
     def test_early_violation_exceeds_any_small_rho(self):
         dc = overloadable_dc()
         trigger = SlidingWindowCVRTrigger(2, rho=0.01, window=50)
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         trigger.observe(dc, 0)
         assert trigger.windowed_cvr(0) == 1.0  # measured over 1 interval
         assert trigger.should_migrate(0)
@@ -76,7 +69,7 @@ class TestSlidingWindowCVRTrigger:
     def test_non_violating_pm_never_fires(self):
         dc = overloadable_dc()
         trigger = SlidingWindowCVRTrigger(2, rho=0.01, window=5)
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         for t in range(5):
             trigger.observe(dc, t)
         assert trigger.windowed_cvr(1) == 0.0  # PM 1 is empty
@@ -121,7 +114,7 @@ class TestSchedulerIntegration:
 
     def test_scheduler_respects_trigger_veto(self):
         dc = overloadable_dc()
-        force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
 
         class Veto:
             def observe(self, dc, time):

@@ -22,6 +22,7 @@ from repro.simulation.triggers import (
     OverflowTrigger,
     SlidingWindowCVRTrigger,
 )
+from tests.sim_helpers import force_on
 
 
 def _dc(seed=0):
@@ -29,12 +30,6 @@ def _dc(seed=0):
     pms = [PMSpec(90.0), PMSpec(90.0)]
     placement = Placement(2, 2, assignment=np.array([0, 0]))
     return Datacenter(vms, pms, placement, seed=seed)
-
-
-def _force_spike(dc, vm_ids):
-    for v in vm_ids:
-        dc._on[v] = True
-        dc.vms[v].on = True
 
 
 def _roundtrip(state: dict) -> dict:
@@ -54,7 +49,7 @@ class TestSlidingWindowParity:
     def test_restored_window_reproduces_decisions(self):
         dc = _dc()
         trigger = SlidingWindowCVRTrigger(2, rho=0.2, window=6)
-        _force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         for t in range(4):
             trigger.observe(dc, t)
         state = _roundtrip(trigger.capture_state())
@@ -96,7 +91,7 @@ class TestAlertReactiveParity:
         trigger = AlertReactiveTrigger(base, lambda: alert["on"])
         for t in range(3):
             trigger.observe(dc, t)
-        _force_spike(dc, [0, 1])
+        force_on(dc, [0, 1])
         trigger.observe(dc, 3)
         # windowed CVR = 1/4 <= rho: the base tolerates, the alert escalates
         assert not base.should_migrate(0)
